@@ -6,8 +6,8 @@
 //! BENCH_mech_step.json — a regression here shows up there multiplied
 //! by `d²`/`m²`.
 //!
-//! The `*_ref` rows are not dead weight: the blocked/ref ratio is the
-//! direct measurement of what register blocking buys on this machine,
+//! The `*_ref` rows are not dead weight: the production/ref ratio is
+//! the direct measurement of what register blocking buys on this machine,
 //! and `kernel_identity.rs` proves the two sides are bit-identical, so
 //! the ratio is a pure-speed comparison.
 
@@ -57,16 +57,13 @@ fn bench_matvec(c: &mut Criterion) {
         group.throughput(Throughput::Elements((rows * cols) as u64));
         let a = ramp(rows * cols, 0.01);
         let x = ramp(cols, 0.5);
-        // `blocked` is the tiled variant `matvec_blocked`, NOT what
-        // `Matrix::matvec` runs: the production form is the per-row dot
-        // sweep because the tiled form needs per-element lane broadcasts
-        // SSE2 lacks (see the `kernels::matvec` docs). The rows keep
-        // measuring the rejected form so the choice is re-examined, not
-        // re-litigated, when the target changes.
-        group.bench_with_input(BenchmarkId::new("blocked", &label), &rows, |b, &rows| {
+        // `prod` is the production `kernels::matvec`, the per-row dot
+        // sweep `Matrix::matvec` runs. The tiled form was rejected by
+        // measurement (its rows stay in BENCH_kernels.json as history).
+        group.bench_with_input(BenchmarkId::new("prod", &label), &rows, |b, &rows| {
             let mut out = vec![0.0; rows];
             b.iter(|| {
-                kernels::matvec_blocked(cols, &a, &x, &mut out);
+                kernels::matvec(cols, &a, &x, &mut out);
                 black_box(out[rows - 1])
             });
         });

@@ -3,10 +3,10 @@
 use crate::error::EngineError;
 use crate::ingress::{Command, Reply};
 use crate::session::StreamSession;
+use crate::shard::{group_runs, scatter, IndexedRelease, Shard};
 use crate::spec::MechanismSpec;
 use pir_dp::PrivacyParams;
 use pir_erm::DataPoint;
-use std::collections::HashMap;
 
 /// SplitMix64 finalizer — the engine's stateless hash for shard routing
 /// and per-session seed derivation.
@@ -77,19 +77,6 @@ impl Default for EngineConfig {
     }
 }
 
-/// One shard: the sessions routed to it, keyed by session id.
-#[derive(Debug, Default)]
-struct Shard {
-    sessions: HashMap<u64, StreamSession>,
-}
-
-/// One session's slice of an ingest batch: `(session id, original input
-/// indices, points in arrival order)`.
-type SessionRun = (u64, Vec<usize>, Vec<DataPoint>);
-
-/// An ingest result tagged with the input index it answers.
-type IndexedRelease = (usize, Result<Vec<f64>, EngineError>);
-
 /// A sharded engine serving many concurrent private streams.
 ///
 /// Sessions are hash-partitioned across `num_shards` shards by session id;
@@ -145,7 +132,7 @@ impl ShardedEngine {
                 reason: "num_shards must be at least 1".to_string(),
             });
         }
-        let shards = (0..config.num_shards).map(|_| Shard::default()).collect();
+        let shards = (0..config.num_shards).map(|_| Shard::new(config.seed)).collect();
         Ok(ShardedEngine { config, shards })
     }
 
@@ -187,6 +174,13 @@ impl ShardedEngine {
         shard_of(session_id, self.shards.len())
     }
 
+    /// The shard `session_id` routes to.
+    #[inline]
+    fn shard_mut(&mut self, session_id: u64) -> &mut Shard {
+        let idx = self.shard_index(session_id);
+        &mut self.shards[idx]
+    }
+
     /// Whether a session with this id exists.
     pub fn contains(&self, session_id: u64) -> bool {
         self.shards[self.shard_index(session_id)].sessions.contains_key(&session_id)
@@ -203,8 +197,7 @@ impl ShardedEngine {
 
     /// Remove a session; returns it if it existed.
     pub fn remove_session(&mut self, session_id: u64) -> Option<StreamSession> {
-        let idx = self.shard_index(session_id);
-        self.shards[idx].sessions.remove(&session_id)
+        self.shard_mut(session_id).sessions.remove(&session_id)
     }
 
     /// Insert an already-built session — the import half of
@@ -220,8 +213,7 @@ impl ShardedEngine {
         if self.contains(id) {
             return Err(EngineError::DuplicateSession { id });
         }
-        let idx = self.shard_index(id);
-        self.shards[idx].sessions.insert(id, session);
+        self.shard_mut(id).sessions.insert(id, session);
         Ok(())
     }
 
@@ -244,13 +236,7 @@ impl ShardedEngine {
         t_max: usize,
         params: &PrivacyParams,
     ) -> Result<(), EngineError> {
-        if self.contains(session_id) {
-            return Err(EngineError::DuplicateSession { id: session_id });
-        }
-        let session = StreamSession::spawn(session_id, spec, t_max, params, self.config.seed)?;
-        let idx = self.shard_index(session_id);
-        self.shards[idx].sessions.insert(session_id, session);
-        Ok(())
+        self.shard_mut(session_id).open(session_id, spec, t_max, params)
     }
 
     /// Spawn many sessions of the same spec, building shard-parallel
@@ -286,7 +272,8 @@ impl ShardedEngine {
                 .collect()
         };
         let build_shard = &build_shard;
-        let built: Vec<Result<Vec<StreamSession>, EngineError>> = if self.run_parallel(&per_shard) {
+        let busy = per_shard.iter().filter(|ids| !ids.is_empty()).count();
+        let built: Vec<Result<Vec<StreamSession>, EngineError>> = if self.run_parallel(busy) {
             std::thread::scope(|scope| {
                 let handles: Vec<_> =
                     per_shard.iter().map(|ids| scope.spawn(move || build_shard(ids))).collect();
@@ -312,12 +299,7 @@ impl ShardedEngine {
     /// # Errors
     /// [`EngineError::UnknownSession`] or the mechanism's error.
     pub fn observe(&mut self, session_id: u64, z: &DataPoint) -> Result<Vec<f64>, EngineError> {
-        let idx = self.shard_index(session_id);
-        self.shards[idx]
-            .sessions
-            .get_mut(&session_id)
-            .ok_or(EngineError::UnknownSession { id: session_id })?
-            .observe(z)
+        self.shard_mut(session_id).session_mut(session_id)?.observe(z)
     }
 
     /// [`observe`](ShardedEngine::observe) writing the release into a
@@ -339,12 +321,7 @@ impl ShardedEngine {
         z: &DataPoint,
         out: &mut [f64],
     ) -> Result<(), EngineError> {
-        let idx = self.shard_index(session_id);
-        self.shards[idx]
-            .sessions
-            .get_mut(&session_id)
-            .ok_or(EngineError::UnknownSession { id: session_id })?
-            .observe_into(z, out)
+        self.shard_mut(session_id).session_mut(session_id)?.observe_into(z, out)
     }
 
     /// Route a run of consecutive points to one session's amortized batch
@@ -358,12 +335,7 @@ impl ShardedEngine {
         session_id: u64,
         batch: &[DataPoint],
     ) -> Result<Vec<Vec<f64>>, EngineError> {
-        let idx = self.shard_index(session_id);
-        self.shards[idx]
-            .sessions
-            .get_mut(&session_id)
-            .ok_or(EngineError::UnknownSession { id: session_id })?
-            .observe_batch(batch)
+        self.shard_mut(session_id).session_mut(session_id)?.observe_batch(batch)
     }
 
     /// [`observe_batch`](ShardedEngine::observe_batch) writing the
@@ -387,12 +359,7 @@ impl ShardedEngine {
         batch: &[DataPoint],
         out: &mut [f64],
     ) -> Result<(), EngineError> {
-        let idx = self.shard_index(session_id);
-        self.shards[idx]
-            .sessions
-            .get_mut(&session_id)
-            .ok_or(EngineError::UnknownSession { id: session_id })?
-            .observe_batch_into(batch, out)
+        self.shard_mut(session_id).session_mut(session_id)?.observe_batch_into(batch, out)
     }
 
     /// Drive a mixed batch of arrivals across many sessions, in parallel
@@ -408,121 +375,53 @@ impl ShardedEngine {
     /// atomic batch-rejection contract.
     pub fn ingest(&mut self, points: Vec<(u64, DataPoint)>) -> Vec<Result<Vec<f64>, EngineError>> {
         let n = points.len();
-        // Group per shard, then per session, preserving arrival order.
-        let num_shards = self.shards.len();
-        let mut per_shard: Vec<Vec<SessionRun>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut slot: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (i, (sid, z)) in points.into_iter().enumerate() {
-            let shard = self.shard_index(sid);
-            let (s, g) = *slot.entry(sid).or_insert_with(|| {
-                per_shard[shard].push((sid, Vec::new(), Vec::new()));
-                (shard, per_shard[shard].len() - 1)
-            });
-            per_shard[s][g].1.push(i);
-            per_shard[s][g].2.push(z);
-        }
-
-        let run_shard = |shard: &mut Shard, groups: &[SessionRun]| -> Vec<IndexedRelease> {
-            let mut out = Vec::new();
-            for (sid, indices, batch) in groups {
-                match shard.sessions.get_mut(sid) {
-                    None => {
-                        for &i in indices {
-                            out.push((i, Err(EngineError::UnknownSession { id: *sid })));
-                        }
-                    }
-                    Some(session) => match session.observe_batch(batch) {
-                        Ok(releases) => {
-                            for (&i, theta) in indices.iter().zip(releases) {
-                                out.push((i, Ok(theta)));
-                            }
-                        }
-                        Err(e) => {
-                            for &i in indices {
-                                out.push((i, Err(e.clone())));
-                            }
-                        }
-                    },
-                }
-            }
-            out
-        };
-
-        let run_shard = &run_shard;
-        let scattered: Vec<Vec<IndexedRelease>> = if self.run_parallel(&per_shard) {
+        let mut groups = group_runs(points, self.shards.len());
+        let parallel = self.run_parallel(groups.len());
+        let work = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, shard)| groups.remove(&i).map(|runs| (shard, runs)));
+        let parts: Vec<Vec<IndexedRelease>> = if parallel {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(per_shard.iter())
-                    .map(|(shard, groups)| scope.spawn(move || run_shard(shard, groups)))
-                    .collect();
+                let handles: Vec<_> =
+                    work.map(|(shard, runs)| scope.spawn(move || shard.ingest(runs))).collect();
                 handles.into_iter().map(|h| h.join().expect("ingest worker panicked")).collect()
             })
         } else {
-            self.shards
-                .iter_mut()
-                .zip(per_shard.iter())
-                .map(|(shard, groups)| run_shard(shard, groups))
-                .collect()
+            work.map(|(shard, runs)| shard.ingest(runs)).collect()
         };
-
-        let mut results: Vec<Option<Result<Vec<f64>, EngineError>>> =
-            (0..n).map(|_| None).collect();
-        for part in scattered {
-            for (i, r) in part {
-                results[i] = Some(r);
-            }
-        }
-        results.into_iter().map(|r| r.expect("every input index receives a result")).collect()
+        scatter(n, parts.into_iter().flatten())
     }
 
     /// Execute one wire-level [`Command`] against the engine, producing
-    /// the same [`Reply`] the pipelined frontend would — the single
-    /// dispatch point the write-ahead-log replay path
-    /// ([`wal::recover`](crate::wal::recover)) drives, so a replayed
-    /// command stream lands on exactly the semantics of the original run.
+    /// the same [`Reply`] the pipelined frontend would — both run the
+    /// command through the same per-shard state machine. This is the
+    /// dispatch point write-ahead-log replay
+    /// ([`wal::recover`](crate::wal::recover) and
+    /// [`EngineHandle::with_wal`](crate::EngineHandle::with_wal)) drives,
+    /// so a replayed command stream lands on exactly the semantics of the
+    /// original run.
     ///
     /// Failures come back as [`Reply::Err`] rather than `Result::Err`:
     /// replay must be able to reproduce a run's deterministic failures
     /// (a duplicate open, an over-horizon observe) without aborting.
     /// [`Command::Close`] is connection-scoped and a no-op here.
     pub fn apply(&mut self, cmd: &Command) -> Reply {
-        match cmd {
-            Command::Open { session_id, spec, t_max, params } => {
-                match self.spawn_session(*session_id, spec, *t_max, params) {
-                    Ok(()) => Reply::Opened { session_id: *session_id },
-                    Err(e) => Reply::Err(e),
-                }
-            }
-            Command::Observe { session_id, point } => match self.observe(*session_id, point) {
-                Ok(theta) => Reply::Releases { session_id: *session_id, thetas: vec![theta] },
-                Err(e) => Reply::Err(e),
-            },
-            Command::ObserveBatch { session_id, points } => {
-                match self.observe_batch(*session_id, points) {
-                    Ok(thetas) => Reply::Releases { session_id: *session_id, thetas },
-                    Err(e) => Reply::Err(e),
-                }
-            }
-            Command::Release { session_id } => match self.remove_session(*session_id) {
-                None => Reply::Err(EngineError::UnknownSession { id: *session_id }),
-                Some(s) => {
-                    let (epsilon_spent, delta_spent) = s.accountant().spent();
-                    Reply::SessionReleased {
-                        session_id: *session_id,
-                        points: s.t() as u64,
-                        epsilon_spent,
-                        delta_spent,
-                    }
-                }
-            },
-            Command::Close => Reply::Closed,
+        match cmd.session_id() {
+            Some(sid) => self.shard_mut(sid).apply(cmd),
+            None => Reply::Closed,
         }
     }
 
+    /// Dismantle the engine into its shards (recovery hands them to the
+    /// pipelined workers).
+    pub(crate) fn into_shards(self) -> Vec<Shard> {
+        self.shards
+    }
+
     /// Parallel execution pays off only when more than one shard has work.
-    fn run_parallel<T>(&self, per_shard: &[Vec<T>]) -> bool {
-        self.config.parallel && per_shard.iter().filter(|v| !v.is_empty()).count() > 1
+    fn run_parallel(&self, busy_shards: usize) -> bool {
+        self.config.parallel && busy_shards > 1
     }
 }

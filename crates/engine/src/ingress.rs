@@ -7,7 +7,8 @@
 //!
 //! - an [`EngineHandle`] owns one worker thread per shard, each with a
 //!   **bounded** command queue (depth measured in *points*, not
-//!   commands);
+//!   commands) and each driving the same per-shard state machine
+//!   (`Shard`, in `shard.rs`) as the synchronous engine and WAL replay;
 //! - a [`SubmitHandle`] — `Clone + Send + Sync`, handed out by
 //!   [`EngineHandle::submit_handle`] — is the cheap, shareable front
 //!   door: any number of threads (one per TCP connection, say) can
@@ -105,15 +106,18 @@
 
 use crate::engine::{entropy_seed, shard_of};
 use crate::error::EngineError;
-use crate::session::StreamSession;
+use crate::shard::{
+    group_runs, is_spill_file, scatter, IndexedRelease, SessionRun, Shard, ShardCut, ShardWal,
+    SpillTier,
+};
 use crate::spec::MechanismSpec;
 use crate::storage::StorageHandle;
 use crate::sync::lock_or_recover;
 use crate::wal::{self, CheckpointPolicy, CheckpointReport, RecoveryReport, WalOptions, WalWriter};
 use pir_dp::PrivacyParams;
 use pir_erm::DataPoint;
-use std::collections::{BTreeMap, HashMap};
-use std::path::{Path, PathBuf};
+use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -219,13 +223,13 @@ pub struct SpillStats {
 /// per-shard pending-command maps that keep eviction away from sessions
 /// with queued work.
 #[derive(Debug)]
-struct SpillShared {
-    spills: AtomicU64,
-    restores: AtomicU64,
-    spill_failures: AtomicU64,
-    remove_failures: AtomicU64,
-    resident: AtomicUsize,
-    spilled: AtomicUsize,
+pub(crate) struct SpillShared {
+    pub(crate) spills: AtomicU64,
+    pub(crate) restores: AtomicU64,
+    pub(crate) spill_failures: AtomicU64,
+    pub(crate) remove_failures: AtomicU64,
+    pub(crate) resident: AtomicUsize,
+    pub(crate) spilled: AtomicUsize,
     /// Per-shard `session id → queued-command count`. Incremented by the
     /// submitter *before* the job is sent and decremented by the worker
     /// only *after* the job executes, so when a worker between jobs
@@ -239,7 +243,7 @@ struct SpillShared {
 }
 
 impl SpillShared {
-    fn new(num_shards: usize) -> Self {
+    pub(crate) fn new(num_shards: usize) -> Self {
         SpillShared {
             spills: AtomicU64::new(0),
             restores: AtomicU64::new(0),
@@ -251,7 +255,7 @@ impl SpillShared {
         }
     }
 
-    fn stats(&self) -> SpillStats {
+    pub(crate) fn stats(&self) -> SpillStats {
         SpillStats {
             spills: self.spills.load(Ordering::Relaxed),
             restores: self.restores.load(Ordering::Relaxed),
@@ -262,11 +266,11 @@ impl SpillShared {
         }
     }
 
-    fn pending_add(&self, shard: usize, session_id: u64) {
+    pub(crate) fn pending_add(&self, shard: usize, session_id: u64) {
         *lock_or_recover(&self.pending[shard]).entry(session_id).or_insert(0) += 1;
     }
 
-    fn pending_sub(&self, shard: usize, session_id: u64) {
+    pub(crate) fn pending_sub(&self, shard: usize, session_id: u64) {
         let mut map = lock_or_recover(&self.pending[shard]);
         if let Some(n) = map.get_mut(&session_id) {
             if *n <= 1 {
@@ -277,21 +281,9 @@ impl SpillShared {
         }
     }
 
-    fn has_pending(&self, shard: usize, session_id: u64) -> bool {
+    pub(crate) fn has_pending(&self, shard: usize, session_id: u64) -> bool {
         lock_or_recover(&self.pending[shard]).contains_key(&session_id)
     }
-}
-
-/// Name of the spill file holding `session_id`'s `PIRS` snapshot.
-fn spill_file_name(session_id: u64) -> String {
-    format!("session-{session_id:016x}.pirs")
-}
-
-/// Whether `name` is a spill file (for startup cleanup).
-fn is_spill_file(name: &str) -> bool {
-    name.strip_prefix("session-")
-        .and_then(|rest| rest.strip_suffix(".pirs"))
-        .is_some_and(|mid| mid.len() == 16 && mid.bytes().all(|b| b.is_ascii_hexdigit()))
 }
 
 /// Write-ahead-log health counters, read through
@@ -327,10 +319,10 @@ pub struct WalStats {
 /// counters behind [`SubmitHandle::wal_stats`], the fleet-wide log-tail
 /// gauges, and the coordinator's doorbell.
 #[derive(Debug)]
-struct WalShared {
-    retries: AtomicU64,
-    degraded_shards: AtomicU64,
-    unlogged_commands: AtomicU64,
+pub(crate) struct WalShared {
+    pub(crate) retries: AtomicU64,
+    pub(crate) degraded_shards: AtomicU64,
+    pub(crate) unlogged_commands: AtomicU64,
     auto_checkpoints: AtomicU64,
     auto_checkpoint_failures: AtomicU64,
     /// Record bytes appended fleet-wide since the last auto checkpoint
@@ -381,7 +373,7 @@ impl WalShared {
 
     /// Worker-side: account freshly logged tail and ring the coordinator
     /// if the policy trips.
-    fn note_appended(&self, bytes: u64, commands: u64) {
+    pub(crate) fn note_appended(&self, bytes: u64, commands: u64) {
         let b = self.tail_bytes.fetch_add(bytes, Ordering::Relaxed).saturating_add(bytes);
         let c = self.tail_commands.fetch_add(commands, Ordering::Relaxed).saturating_add(commands);
         if self.policy.is_some_and(|p| p.due(b, c)) {
@@ -401,177 +393,6 @@ impl WalShared {
         }
         drop(state);
         cvar.notify_all();
-    }
-}
-
-/// One shard worker's spill tier: an LRU over the shard's resident
-/// sessions plus the ledger of what it has written to disk. Owned by the
-/// worker thread; only the counters and pending maps are shared.
-struct SpillTier {
-    dir: PathBuf,
-    storage: StorageHandle,
-    cap: usize,
-    shard: usize,
-    shared: Arc<SpillShared>,
-    /// Monotonic use counter ordering the LRU.
-    clock: u64,
-    /// `use tick → session id`, oldest first (the eviction scan order).
-    lru: BTreeMap<u64, u64>,
-    /// `session id → its current use tick` (for O(log n) touches).
-    ticks: HashMap<u64, u64>,
-    /// `session id → t at spill` for every session currently on disk
-    /// (the `t` lets shutdown stats count spilled points without disk
-    /// reads).
-    spilled: HashMap<u64, usize>,
-    /// Resident count this tier last pushed into the shared gauge.
-    last_resident: usize,
-    scratch: Vec<u8>,
-}
-
-impl SpillTier {
-    fn new(options: &SpillOptions, shard: usize, shared: Arc<SpillShared>) -> Self {
-        SpillTier {
-            dir: options.dir.clone(),
-            storage: options.storage.clone(),
-            cap: options.resident_cap,
-            shard,
-            shared,
-            clock: 0,
-            lru: BTreeMap::new(),
-            ticks: HashMap::new(),
-            spilled: HashMap::new(),
-            last_resident: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn file(&self, session_id: u64) -> PathBuf {
-        self.dir.join(spill_file_name(session_id))
-    }
-
-    /// Remove a spill file, counting (never surfacing) a failure: a
-    /// leftover file is re-swept at the next startup, but an uncounted
-    /// one would hide a sick disk from the stats snapshot.
-    fn remove_spill_file(&self, path: &Path) {
-        if self.storage.remove_file(path).is_err() {
-            self.shared.remove_failures.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Mark `session_id` most-recently-used.
-    fn touch(&mut self, session_id: u64) {
-        if let Some(old) = self.ticks.get(&session_id) {
-            self.lru.remove(old);
-        }
-        self.clock += 1;
-        self.lru.insert(self.clock, session_id);
-        self.ticks.insert(session_id, self.clock);
-    }
-
-    /// Drop `session_id` from the LRU (released or spilled).
-    fn forget(&mut self, session_id: u64) {
-        if let Some(old) = self.ticks.remove(&session_id) {
-            self.lru.remove(&old);
-        }
-    }
-
-    /// If `session_id` is spilled, read it back, rebuild the session, and
-    /// reinsert it — the transparent cold start on a spilled session's
-    /// next command. Runs *before* the command is logged or executed, so
-    /// a restore failure leaves both the log and the session table
-    /// untouched (and the command unlogged: a logged-but-unexecuted
-    /// command would replay into state the original run never had).
-    fn restore_if_spilled(
-        &mut self,
-        sessions: &mut HashMap<u64, StreamSession>,
-        engine_seed: u64,
-        session_id: u64,
-    ) -> Result<(), EngineError> {
-        if !self.spilled.contains_key(&session_id) {
-            return Ok(());
-        }
-        let path = self.file(session_id);
-        let bytes = self.storage.read(&path).map_err(|e| EngineError::Wal {
-            reason: format!("spill restore {}: {e}", path.display()),
-        })?;
-        let session = StreamSession::restore(&bytes, engine_seed).map_err(|e| {
-            EngineError::Wal { reason: format!("spill restore {}: {e}", path.display()) }
-        })?;
-        self.remove_spill_file(&path);
-        self.spilled.remove(&session_id);
-        self.shared.spilled.fetch_sub(1, Ordering::Relaxed);
-        self.shared.restores.fetch_add(1, Ordering::Relaxed);
-        sessions.insert(session_id, session);
-        self.touch(session_id);
-        Ok(())
-    }
-
-    /// Evict least-recently-used sessions until the shard is back under
-    /// its resident cap. A victim is skipped — leaving the shard
-    /// transiently over cap — when it has queued-but-unexecuted commands
-    /// (see [`SpillShared`]'s pending maps), when its mechanism cannot
-    /// snapshot, or when the spill write fails (counted, never fatal).
-    fn enforce_cap(&mut self, sessions: &mut HashMap<u64, StreamSession>) {
-        if sessions.len() <= self.cap {
-            return;
-        }
-        let scan: Vec<(u64, u64)> = self.lru.iter().map(|(&tick, &sid)| (tick, sid)).collect();
-        for (tick, sid) in scan {
-            if sessions.len() <= self.cap {
-                break;
-            }
-            let Some(session) = sessions.get(&sid) else {
-                // LRU entry with no session: already released.
-                self.lru.remove(&tick);
-                self.ticks.remove(&sid);
-                continue;
-            };
-            if self.shared.has_pending(self.shard, sid) || !session.supports_snapshot() {
-                continue;
-            }
-            self.scratch.clear();
-            if session.snapshot_into(&mut self.scratch).is_err() {
-                self.shared.spill_failures.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let path = self.file(sid);
-            // Not fsynced on purpose: the spill dir extends RAM and the
-            // WAL owns durability. A torn spill file after a crash is
-            // removed by the next startup's cleanup.
-            if self.storage.write(&path, &self.scratch).is_err() {
-                self.remove_spill_file(&path);
-                self.shared.spill_failures.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let Some(session) = sessions.remove(&sid) else {
-                // Unreachable in practice (the id was fetched from this
-                // map above); treat as a failed spill rather than panic.
-                self.remove_spill_file(&path);
-                self.shared.spill_failures.fetch_add(1, Ordering::Relaxed);
-                continue;
-            };
-            self.spilled.insert(sid, session.t());
-            self.forget(sid);
-            self.shared.spills.fetch_add(1, Ordering::Relaxed);
-            self.shared.spilled.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Push this shard's resident count into the shared gauge as a delta
-    /// (shards share one counter, so absolute stores would clobber each
-    /// other).
-    fn sync_resident(&mut self, sessions: &HashMap<u64, StreamSession>) {
-        let now = sessions.len();
-        match now.cmp(&self.last_resident) {
-            std::cmp::Ordering::Greater => {
-                self.shared.resident.fetch_add(now - self.last_resident, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Less => {
-                self.shared.resident.fetch_sub(self.last_resident - now, Ordering::Relaxed);
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        self.last_resident = now;
     }
 }
 
@@ -728,14 +549,6 @@ impl Ticket {
     }
 }
 
-/// One session's slice of an ingest batch: `(session id, original input
-/// indices, points in arrival order)` — same grouping as
-/// [`ShardedEngine::ingest`](crate::ShardedEngine::ingest).
-type SessionRun = (u64, Vec<usize>, Vec<DataPoint>);
-
-/// An ingest result tagged with the input index it answers.
-type IndexedRelease = (usize, Result<Vec<f64>, EngineError>);
-
 /// What travels down a shard's queue.
 enum Job {
     /// One wire-level command with its reply channel.
@@ -751,18 +564,6 @@ enum Job {
     Checkpoint { ack: Sender<Result<ShardCut, EngineError>> },
     /// Drain, report `(live sessions, live points)`, and exit.
     Shutdown { ack: Sender<(usize, usize)> },
-}
-
-/// One shard's contribution to a live checkpoint: a consistent cut of
-/// its log chain plus a snapshot of every session it owns, taken at a
-/// job boundary so the snapshots agree exactly with the cut's log
-/// position.
-struct ShardCut {
-    shard: u32,
-    epoch: u32,
-    next_seg_seq: u32,
-    next_record_seq: u32,
-    snapshots: Vec<Vec<u8>>,
 }
 
 /// One shard's ingress lane: its queue plus the shared depth gauge.
@@ -1118,37 +919,15 @@ impl SubmitHandle {
     /// consult the per-index results before replaying anything.
     pub fn ingest(&self, points: Vec<(u64, DataPoint)>) -> Vec<Result<Vec<f64>, EngineError>> {
         let n = points.len();
-        let num_shards = self.lanes.len();
-        // Group per shard, then per session, preserving arrival order —
-        // the exact grouping of `ShardedEngine::ingest`.
-        let mut per_shard: Vec<Vec<SessionRun>> = (0..num_shards).map(|_| Vec::new()).collect();
-        let mut slot: HashMap<u64, (usize, usize)> = HashMap::new();
-        for (i, (sid, z)) in points.into_iter().enumerate() {
-            let shard = self.shard_index(sid);
-            let (s, g) = *slot.entry(sid).or_insert_with(|| {
-                per_shard[shard].push((sid, Vec::new(), Vec::new()));
-                (shard, per_shard[shard].len() - 1)
-            });
-            per_shard[s][g].1.push(i);
-            per_shard[s][g].2.push(z);
-        }
-
-        let mut results: Vec<Option<Result<Vec<f64>, EngineError>>> =
-            (0..n).map(|_| None).collect();
-        let mut pending: Vec<(Vec<usize>, Receiver<Vec<IndexedRelease>>)> = Vec::new();
-        for (shard, runs) in per_shard.into_iter().enumerate() {
-            if runs.is_empty() {
-                continue;
-            }
+        let mut answered: Vec<IndexedRelease> = Vec::new();
+        let mut pending: Vec<Receiver<Vec<IndexedRelease>>> = Vec::new();
+        for (shard, runs) in group_runs(points, self.lanes.len()) {
             let cost: usize = runs.iter().map(|(_, _, b)| b.len()).sum::<usize>().max(1);
-            let all_indices: Vec<usize> =
-                runs.iter().flat_map(|(_, idx, _)| idx.iter().copied()).collect();
             if let Err(e) = self.reserve_blocking(shard, cost) {
                 // Permanent rejection (slice can never fit) or a dead
                 // worker: report it on every affected index.
-                for i in all_indices {
-                    results[i] = Some(Err(e.clone()));
-                }
+                let indices = runs.iter().flat_map(|(_, idx, _)| idx.iter().copied());
+                answered.extend(indices.map(|i| (i, Err(e.clone()))));
                 continue;
             }
             // Same pre-send publication as `try_submit`: every session
@@ -1164,38 +943,26 @@ impl SubmitHandle {
                 if self.spill.is_some() { runs.iter().map(|r| r.0).collect() } else { Vec::new() };
             let (tx, rx) = mpsc::channel();
             if self.lanes[shard].tx.send(Job::Ingest { runs, cost, reply: tx }).is_err() {
+                // Worker gone: roll back, and leave the slice unanswered
+                // (`scatter` reports it as Closed).
                 self.lanes[shard].depth.fetch_sub(cost, Ordering::SeqCst);
                 if let Some(spill) = &self.spill {
                     for sid in run_sids {
                         spill.pending_sub(shard, sid);
                     }
                 }
-                for i in all_indices {
-                    results[i] = Some(Err(EngineError::Closed));
-                }
                 continue;
             }
-            pending.push((all_indices, rx));
+            pending.push(rx);
         }
-        for (all_indices, rx) in pending {
-            match rx.recv() {
-                Ok(parts) => {
-                    for (i, r) in parts {
-                        results[i] = Some(r);
-                    }
-                }
-                Err(_) => {
-                    for i in all_indices {
-                        results[i] = Some(Err(EngineError::Closed));
-                    }
-                }
+        // A worker that dies before replying leaves its slice unanswered,
+        // which `scatter` reports as Closed.
+        for rx in pending {
+            if let Ok(parts) = rx.recv() {
+                answered.extend(parts);
             }
         }
-        // Every index was filled by exactly one of the arms above; a
-        // hole would mean the routing bookkeeping dropped an input, and
-        // the honest answer for that input is a closed-engine error, not
-        // a panic on the submitting thread.
-        results.into_iter().map(|r| r.unwrap_or(Err(EngineError::Closed))).collect()
+        scatter(n, answered)
     }
 
     /// Fleet-wide barrier: returns once every command submitted (by *any*
@@ -1221,8 +988,9 @@ impl SubmitHandle {
 
 /// The worker-owning side of the pipelined frontend.
 ///
-/// Owns one worker thread per shard; each worker holds its shard's
-/// sessions and drains a bounded command queue. All submission goes
+/// Owns one worker thread per shard; each worker owns its shard's
+/// state (sessions, log writer, spill tier) and drains a bounded command
+/// queue onto it. All submission goes
 /// through [`SubmitHandle`] — `EngineHandle` [derefs](std::ops::Deref) to
 /// one, and [`submit_handle`](Self::submit_handle) clones out shareable
 /// handles for other threads — while lifecycle (owning the workers,
@@ -1276,8 +1044,8 @@ impl EngineHandle {
     /// `queue_depth == 0`.
     pub fn new(config: IngressConfig) -> Result<Self, EngineError> {
         validate_config(&config)?;
-        let states = (0..config.num_shards).map(|_| (HashMap::new(), None)).collect();
-        Ok(EngineHandle::spawn_workers(config, states, None, None, None))
+        let shards = (0..config.num_shards).map(|_| Shard::new(config.seed)).collect();
+        Ok(EngineHandle::spawn_workers(config, shards, None, None, None))
     }
 
     /// [`new`](Self::new) with a session **spill tier**: each shard
@@ -1295,8 +1063,8 @@ impl EngineHandle {
     pub fn with_spill(config: IngressConfig, spill: &SpillOptions) -> Result<Self, EngineError> {
         validate_config(&config)?;
         let shared = prepare_spill(&config, spill)?;
-        let states = (0..config.num_shards).map(|_| (HashMap::new(), None)).collect();
-        Ok(EngineHandle::spawn_workers(config, states, Some((spill.clone(), shared)), None, None))
+        let shards = (0..config.num_shards).map(|_| Shard::new(config.seed)).collect();
+        Ok(EngineHandle::spawn_workers(config, shards, Some((spill.clone(), shared)), None, None))
     }
 
     /// Spawn a **write-ahead-logged** engine: replay whatever command
@@ -1362,31 +1130,15 @@ impl EngineHandle {
         };
         let log = wal::load_log(&options.storage, &options.dir).map_err(wal_engine_err)?;
 
-        // Replay into per-shard session tables under the *current* shard
-        // count, through the same executor the workers run. Checkpointed
-        // sessions come back first — the manifest's snapshots are the
-        // log's compacted prefix, the surviving segments its tail.
-        let n = config.num_shards;
-        let mut maps: Vec<HashMap<u64, StreamSession>> = (0..n).map(|_| HashMap::new()).collect();
-        for blob in &log.snapshots {
-            let session = StreamSession::restore(blob, config.seed)
-                .map_err(|e| EngineError::Wal { reason: format!("checkpoint snapshot: {e}") })?;
-            let sid = session.id();
-            if maps[shard_of(sid, n)].insert(sid, session).is_some() {
-                return Err(EngineError::Wal {
-                    reason: format!("checkpoint manifest restores session {sid:#018x} twice"),
-                });
-            }
-        }
-        let mut failed = 0u64;
-        for cmd in &log.commands {
-            let Some(sid) = cmd.session_id() else { continue };
-            let r = exec_command(&mut maps[shard_of(sid, n)], config.seed, cmd.clone());
-            if matches!(r, Reply::Err(_)) {
-                failed += 1;
-            }
-        }
-        let report = log.report(failed);
+        // Replay into a synchronous engine at the *current* shard count —
+        // the same replay `wal::recover` runs — then hand its shards to
+        // the workers.
+        let mut engine = crate::ShardedEngine::new(crate::EngineConfig {
+            num_shards: config.num_shards,
+            seed: config.seed,
+            parallel: false,
+        })?;
+        let report = wal::replay(&log, &mut engine, |_, _| {}).map_err(wal_engine_err)?;
 
         // One writer per (current) shard, all at the next epoch, each
         // continuing its shard's chain where the log left off.
@@ -1402,52 +1154,46 @@ impl EngineHandle {
             generation: log.manifest_generation,
             max_epoch: Some(epoch),
         };
-        let mut states = Vec::with_capacity(n);
-        for (shard, sessions) in maps.into_iter().enumerate() {
-            let (seg_seq, rec_seq) = log.resume_for(shard as u32);
-            let writer = WalWriter::resume(options, shard as u32, epoch, seg_seq, rec_seq)
+        let wal_shared = Arc::new(WalShared::new(options.auto_checkpoint));
+        let degrades = options.failure_policy.degrades();
+        let mut shards = engine.into_shards();
+        for (i, shard) in shards.iter_mut().enumerate() {
+            let (seg_seq, rec_seq) = log.resume_for(i as u32);
+            let writer = WalWriter::resume(options, i as u32, epoch, seg_seq, rec_seq)
                 .map_err(wal_engine_err)?;
-            states.push((sessions, Some(writer)));
+            shard.attach_wal(ShardWal::new(writer, Arc::clone(&wal_shared), degrades));
         }
-        let wal_shared =
-            (Arc::new(WalShared::new(options.auto_checkpoint)), options.failure_policy.degrades());
         Ok((
-            EngineHandle::spawn_workers(config, states, spill, Some(wal_shared), Some(ckpt)),
+            EngineHandle::spawn_workers(config, shards, spill, Some(wal_shared), Some(ckpt)),
             report,
         ))
     }
 
-    /// Bring up one worker per entry of `states`, each owning its
-    /// prebuilt session table, optional log writer, and optional spill
-    /// tier — plus, when a [`CheckpointPolicy`](crate::CheckpointPolicy)
-    /// is configured, the auto-checkpoint coordinator thread.
+    /// Bring up one worker per shard, attaching the optional spill tier
+    /// on the worker's own thread — plus, when a
+    /// [`CheckpointPolicy`](crate::CheckpointPolicy) is configured, the
+    /// auto-checkpoint coordinator thread.
     fn spawn_workers(
         config: IngressConfig,
-        states: Vec<(HashMap<u64, StreamSession>, Option<WalWriter>)>,
+        shards: Vec<Shard>,
         spill: Option<(SpillOptions, Arc<SpillShared>)>,
-        wal_shared: Option<(Arc<WalShared>, bool)>,
+        wal: Option<Arc<WalShared>>,
         ckpt: Option<CheckpointCtx>,
     ) -> Self {
-        let mut lanes = Vec::with_capacity(states.len());
-        let mut workers = Vec::with_capacity(states.len());
-        for (shard, (sessions, wal)) in states.into_iter().enumerate() {
+        let mut lanes = Vec::with_capacity(shards.len());
+        let mut workers = Vec::with_capacity(shards.len());
+        for (i, mut shard) in shards.into_iter().enumerate() {
             let (tx, rx) = mpsc::channel::<Job>();
             let depth = Arc::new(AtomicUsize::new(0));
             let worker_depth = Arc::clone(&depth);
-            let seed = config.seed;
             let tier = spill
                 .as_ref()
-                .map(|(options, shared)| SpillTier::new(options, shard, Arc::clone(shared)));
-            let shard_wal = match (wal, wal_shared.as_ref()) {
-                (Some(writer), Some((shared, degrades))) => Some(ShardWal {
-                    writer: Some(writer),
-                    shared: Arc::clone(shared),
-                    degrades: *degrades,
-                }),
-                _ => None,
-            };
+                .map(|(options, shared)| SpillTier::new(options, i, Arc::clone(shared)));
             workers.push(std::thread::spawn(move || {
-                worker_loop(rx, worker_depth, seed, sessions, shard_wal, tier)
+                if let Some(tier) = tier {
+                    shard.attach_spill(tier);
+                }
+                worker_loop(rx, &worker_depth, shard)
             }));
             lanes.push(Lane { tx, depth });
         }
@@ -1456,15 +1202,14 @@ impl EngineHandle {
             capacity: config.queue_depth,
             seed: config.seed,
             spill: spill.map(|(_, shared)| shared),
-            wal: wal_shared.as_ref().map(|(shared, _)| Arc::clone(shared)),
+            wal: wal.clone(),
             closed: Arc::new(std::sync::atomic::AtomicBool::new(false)),
         };
         let ckpt = ckpt.map(|c| Arc::new(Mutex::new(c)));
-        let coordinator = match (&ckpt, &wal_shared) {
-            (Some(ctx), Some((shared, _))) if shared.policy.is_some() => {
+        let coordinator = match (&ckpt, wal) {
+            (Some(ctx), Some(shared)) if shared.policy.is_some() => {
                 let submit = submit.clone();
                 let ctx = Arc::clone(ctx);
-                let shared = Arc::clone(shared);
                 Some(std::thread::spawn(move || coordinator_loop(&submit, &ctx, &shared)))
             }
             _ => None,
@@ -1743,160 +1488,20 @@ fn prepare_spill(
     Ok(Arc::new(SpillShared::new(config.num_shards)))
 }
 
-/// Pre-execution cold-start hook: restore `session_id` if this shard had
-/// spilled it, before the command is logged or executed.
-fn ensure_resident(
-    spill: &mut Option<SpillTier>,
-    sessions: &mut HashMap<u64, StreamSession>,
-    engine_seed: u64,
-    session_id: Option<u64>,
-) -> Result<(), EngineError> {
-    match (spill.as_mut(), session_id) {
-        (Some(tier), Some(sid)) => tier.restore_if_spilled(sessions, engine_seed, sid),
-        _ => Ok(()),
-    }
-}
-
-/// Post-job bookkeeping for a spill-enabled worker: retire the pending
-/// entries the submitter published for this job, refresh the LRU,
-/// enforce the resident cap, and update the shared gauges. Runs *after*
-/// the job executed, which is exactly what makes the pending gate sound.
-fn settle_spill(
-    spill: &mut Option<SpillTier>,
-    sessions: &mut HashMap<u64, StreamSession>,
-    touched: &[u64],
-) {
-    let Some(tier) = spill.as_mut() else { return };
-    for &sid in touched {
-        tier.shared.pending_sub(tier.shard, sid);
-        if sessions.contains_key(&sid) {
-            tier.touch(sid);
-        } else {
-            tier.forget(sid);
-        }
-    }
-    tier.enforce_cap(sessions);
-    tier.sync_resident(sessions);
-}
-
-/// Take one shard's checkpoint cut: snapshot every session this shard
-/// owns — resident ones directly, spilled ones by reading their spill
-/// files (valid because eviction requires an idle session, and any
-/// later command would have restored it in-band first) — then cut the
-/// log chain. Runs between jobs, so the snapshots agree exactly with
-/// the log position the cut reports.
-fn shard_cut(
-    sessions: &HashMap<u64, StreamSession>,
-    spill: &Option<SpillTier>,
-    wal: &mut Option<ShardWal>,
-) -> Result<ShardCut, EngineError> {
-    let Some(sw) = wal.as_mut() else {
-        return Err(EngineError::InvalidConfig {
-            reason: "checkpoint requires a write-ahead-logged engine (with_wal)".to_string(),
-        });
-    };
-    let Some(w) = sw.writer.as_mut() else {
-        // The writer was dropped by DegradeToUnlogged: this shard's
-        // chain can no longer be cut, and a manifest claiming to cover
-        // its unlogged commands would be a lie.
-        return Err(EngineError::Wal {
-            reason: "checkpoint unavailable: shard degraded to unlogged ingestion".to_string(),
-        });
-    };
-    let mut snapshots = Vec::with_capacity(sessions.len());
-    for session in sessions.values() {
-        let blob = session.snapshot().map_err(|e| EngineError::Wal {
-            reason: format!("session {:#018x}: {e}", session.id()),
-        })?;
-        snapshots.push(blob);
-    }
-    if let Some(tier) = spill {
-        for &sid in tier.spilled.keys() {
-            let path = tier.file(sid);
-            let blob = tier.storage.read(&path).map_err(|e| EngineError::Wal {
-                reason: format!("spilled session {}: {e}", path.display()),
-            })?;
-            snapshots.push(blob);
-        }
-    }
-    let (epoch, next_seg_seq, next_record_seq) = w.cut().map_err(wal_engine_err)?;
-    Ok(ShardCut { shard: w.shard(), epoch, next_seg_seq, next_record_seq, snapshots })
-}
-
-/// One shard's worker: owns the shard's sessions (and, in a WAL-enabled
-/// engine, the shard's log writer), drains its queue. The durability
-/// discipline is **log before execute**: a command that cannot be made
-/// durable is never applied, so the log is always a superset of what the
-/// engine executed and replay can never silently drop a committed
-/// command.
-fn worker_loop(
-    rx: Receiver<Job>,
-    depth: Arc<AtomicUsize>,
-    engine_seed: u64,
-    mut sessions: HashMap<u64, StreamSession>,
-    mut wal: Option<ShardWal>,
-    mut spill: Option<SpillTier>,
-) {
-    // A recovered shard can come up over its resident cap: seed the LRU
-    // in session-id order (deterministic) and spill down to cap before
-    // serving the first command.
-    if let Some(tier) = spill.as_mut() {
-        let mut ids: Vec<u64> = sessions.keys().copied().collect();
-        ids.sort_unstable();
-        for sid in ids {
-            tier.touch(sid);
-        }
-        tier.enforce_cap(&mut sessions);
-        tier.sync_resident(&sessions);
-    }
+/// One shard's worker: a thin dispatcher from its queue onto the
+/// [`Shard`] it owns. The shard keeps the durability discipline
+/// (**log before execute**); the worker only releases queue depth and
+/// sends replies once a job is done.
+fn worker_loop(rx: Receiver<Job>, depth: &AtomicUsize, mut shard: Shard) {
     while let Ok(job) = rx.recv() {
         match job {
             Job::Cmd { cmd, cost, reply } => {
-                let sid = cmd.session_id();
-                // Cold-start before logging: a command whose session
-                // cannot be restored must not reach the log, or replay
-                // would execute it into state the original run refused.
-                let r = match ensure_resident(&mut spill, &mut sessions, engine_seed, sid) {
-                    Ok(()) => match log_command(&mut wal, &cmd) {
-                        Ok(()) => exec_command(&mut sessions, engine_seed, cmd),
-                        Err(e) => Reply::Err(e),
-                    },
-                    Err(e) => Reply::Err(e),
-                };
-                settle_spill(&mut spill, &mut sessions, sid.as_slice());
+                let r = shard.apply(&cmd);
                 depth.fetch_sub(cost, Ordering::SeqCst);
                 let _ = reply.send(r);
             }
             Job::Ingest { runs, cost, reply } => {
-                let touched: Vec<u64> =
-                    if spill.is_some() { runs.iter().map(|r| r.0).collect() } else { Vec::new() };
-                // Cold-start every target first; a run whose session
-                // cannot be restored is answered here and excluded from
-                // the logged batch (same reason as the `Cmd` arm).
-                let mut out = Vec::new();
-                let runs = match spill.as_mut() {
-                    None => runs,
-                    Some(tier) => {
-                        let mut keep = Vec::with_capacity(runs.len());
-                        for (sid, indices, batch) in runs {
-                            match tier.restore_if_spilled(&mut sessions, engine_seed, sid) {
-                                Ok(()) => keep.push((sid, indices, batch)),
-                                Err(e) => {
-                                    for i in indices {
-                                        out.push((i, Err(e.clone())));
-                                    }
-                                }
-                            }
-                        }
-                        keep
-                    }
-                };
-                let mut executed = match wal.as_mut() {
-                    None => run_ingest(&mut sessions, runs),
-                    Some(sw) => run_ingest_logged(&mut sessions, sw, runs),
-                };
-                out.append(&mut executed);
-                settle_spill(&mut spill, &mut sessions, &touched);
+                let out = shard.ingest(runs);
                 depth.fetch_sub(cost, Ordering::SeqCst);
                 let _ = reply.send(out);
             }
@@ -1904,375 +1509,12 @@ fn worker_loop(
                 let _ = ack.send(());
             }
             Job::Checkpoint { ack } => {
-                let _ = ack.send(shard_cut(&sessions, &spill, &mut wal));
+                let _ = ack.send(shard.cut());
             }
             Job::Shutdown { ack } => {
-                // Clean shutdown: force the log to stable storage
-                // regardless of fsync policy, so a post-close purge (or
-                // replica copy) sees everything.
-                if let Some(w) = wal.take().and_then(|sw| sw.writer) {
-                    let _ = w.finish();
-                }
-                let (spilled_sessions, spilled_points) = spill
-                    .as_ref()
-                    .map_or((0, 0), |t| (t.spilled.len(), t.spilled.values().sum::<usize>()));
-                let points =
-                    sessions.values().map(StreamSession::t).sum::<usize>() + spilled_points;
-                let _ = ack.send((sessions.len() + spilled_sessions, points));
+                let _ = ack.send(shard.finish());
                 break;
             }
         }
-    }
-}
-
-/// A shard worker's log writer plus its failure-policy state: whether
-/// an exhausted retry envelope degrades the shard to unlogged ingestion
-/// (the writer is dropped, `writer = None`), and the shared counters
-/// that make either outcome observable through
-/// [`SubmitHandle::wal_stats`]. Retry itself lives inside
-/// [`WalWriter`]; this wrapper owns what happens *after* the envelope
-/// is exhausted.
-struct ShardWal {
-    /// `None` once the shard has degraded to unlogged ingestion.
-    writer: Option<WalWriter>,
-    shared: Arc<WalShared>,
-    /// Whether exhaustion degrades (drop the writer, keep serving)
-    /// instead of poisoning (every later append repeats the error).
-    degrades: bool,
-}
-
-impl ShardWal {
-    /// Log one command (log-before-execute). On a degraded shard this
-    /// counts the command as unlogged and succeeds — the engine keeps
-    /// serving, loudly.
-    fn log(&mut self, cmd: &Command) -> Result<(), EngineError> {
-        let Some(w) = self.writer.as_mut() else {
-            self.shared.unlogged_commands.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
-        };
-        let before = w.appended_bytes();
-        let outcome = w.append(cmd);
-        let retries = w.take_retries();
-        let logged = w.appended_bytes() - before;
-        self.shared.retries.fetch_add(retries, Ordering::Relaxed);
-        match outcome {
-            Ok(()) => {
-                self.shared.note_appended(logged, 1);
-                Ok(())
-            }
-            Err(e) => Err(self.exhausted(e)),
-        }
-    }
-
-    /// [`log`](Self::log) for a coalesced ingest batch: one
-    /// [`WalWriter::append_batch`], `cmds.len()` commands accounted.
-    fn log_batch(&mut self, cmds: &[Command]) -> Result<(), EngineError> {
-        let Some(w) = self.writer.as_mut() else {
-            self.shared.unlogged_commands.fetch_add(cmds.len() as u64, Ordering::Relaxed);
-            return Ok(());
-        };
-        let before = w.appended_bytes();
-        let outcome = w.append_batch(cmds);
-        let retries = w.take_retries();
-        let logged = w.appended_bytes() - before;
-        self.shared.retries.fetch_add(retries, Ordering::Relaxed);
-        match outcome {
-            Ok(()) => {
-                self.shared.note_appended(logged, cmds.len() as u64);
-                Ok(())
-            }
-            Err(e) => Err(self.exhausted(e)),
-        }
-    }
-
-    /// The retry envelope is exhausted. Under `DegradeToUnlogged` the
-    /// writer is dropped and the shard serves on without durability;
-    /// otherwise the poisoned writer stays, repeating the error. Either
-    /// way the triggering command is **not** executed — the caller
-    /// returns this error in-band, and log-before-execute holds.
-    fn exhausted(&mut self, e: wal::WalError) -> EngineError {
-        if self.degrades {
-            self.writer = None;
-            self.shared.degraded_shards.fetch_add(1, Ordering::Relaxed);
-            EngineError::Wal { reason: format!("wal degraded to unlogged ingestion: {e}") }
-        } else {
-            EngineError::Wal { reason: e.to_string() }
-        }
-    }
-}
-
-/// Append `cmd` to the shard's log, if it has one. An append failure
-/// becomes [`EngineError::Wal`] and the caller must **not** execute the
-/// command.
-fn log_command(wal: &mut Option<ShardWal>, cmd: &Command) -> Result<(), EngineError> {
-    match wal {
-        None => Ok(()),
-        Some(sw) => sw.log(cmd),
-    }
-}
-
-/// Execute one command against a shard's session table.
-fn exec_command(
-    sessions: &mut HashMap<u64, StreamSession>,
-    engine_seed: u64,
-    cmd: Command,
-) -> Reply {
-    match cmd {
-        Command::Open { session_id, spec, t_max, params } => {
-            if sessions.contains_key(&session_id) {
-                return Reply::Err(EngineError::DuplicateSession { id: session_id });
-            }
-            match StreamSession::spawn(session_id, &spec, t_max, &params, engine_seed) {
-                Ok(s) => {
-                    sessions.insert(session_id, s);
-                    Reply::Opened { session_id }
-                }
-                Err(e) => Reply::Err(e),
-            }
-        }
-        Command::Observe { session_id, point } => match sessions.get_mut(&session_id) {
-            None => Reply::Err(EngineError::UnknownSession { id: session_id }),
-            Some(s) => match s.observe(&point) {
-                Ok(theta) => Reply::Releases { session_id, thetas: vec![theta] },
-                Err(e) => Reply::Err(e),
-            },
-        },
-        Command::ObserveBatch { session_id, points } => match sessions.get_mut(&session_id) {
-            None => Reply::Err(EngineError::UnknownSession { id: session_id }),
-            Some(s) => match s.observe_batch(&points) {
-                Ok(thetas) => Reply::Releases { session_id, thetas },
-                Err(e) => Reply::Err(e),
-            },
-        },
-        Command::Release { session_id } => match sessions.remove(&session_id) {
-            None => Reply::Err(EngineError::UnknownSession { id: session_id }),
-            Some(s) => {
-                let (epsilon_spent, delta_spent) = s.accountant().spent();
-                Reply::SessionReleased {
-                    session_id,
-                    points: s.t() as u64,
-                    epsilon_spent,
-                    delta_spent,
-                }
-            }
-        },
-        // `Close` is resolved at the handle (connection-scoped, never
-        // enqueued); a worker only sees it if routed here explicitly in
-        // the future.
-        Command::Close => Reply::Closed,
-    }
-}
-
-/// Drive one shard's slice of a mixed-tenant batch — the same semantics
-/// as the closure inside `ShardedEngine::ingest` (a batch-level failure
-/// is reported on every index of the affected session's group).
-fn run_ingest(
-    sessions: &mut HashMap<u64, StreamSession>,
-    runs: Vec<SessionRun>,
-) -> Vec<IndexedRelease> {
-    let mut out = Vec::new();
-    for (sid, indices, batch) in runs {
-        ingest_run(sessions, sid, indices, &batch, &mut out);
-    }
-    out
-}
-
-/// [`run_ingest`] with log-before-execute: each session run is logged as
-/// one [`Command::ObserveBatch`] record (matching the atomic batch
-/// contract — the unit of queue admission is the unit of durability),
-/// and a run whose append fails is reported as [`EngineError::Wal`] on
-/// every affected index without touching the session.
-fn run_ingest_logged(
-    sessions: &mut HashMap<u64, StreamSession>,
-    wal: &mut ShardWal,
-    runs: Vec<SessionRun>,
-) -> Vec<IndexedRelease> {
-    // Wrap every run by move (no point is cloned) and log the whole job
-    // with one coalesced append — one write syscall per segment stretch
-    // instead of one per session run; this is what keeps the logged
-    // ingest path inside its throughput budget.
-    let mut cmds = Vec::with_capacity(runs.len());
-    let mut run_indices = Vec::with_capacity(runs.len());
-    for (sid, indices, batch) in runs {
-        cmds.push(Command::ObserveBatch { session_id: sid, points: batch });
-        run_indices.push(indices);
-    }
-    let mut out = Vec::new();
-    if let Err(err) = wal.log_batch(&cmds) {
-        // Nothing (or a poisoned prefix) reached the log: the whole job
-        // is un-executed, reported on every affected index.
-        for indices in run_indices {
-            for i in indices {
-                out.push((i, Err(err.clone())));
-            }
-        }
-        return out;
-    }
-    for (cmd, indices) in cmds.into_iter().zip(run_indices) {
-        let Command::ObserveBatch { session_id: sid, points: batch } = cmd else {
-            // Every element of `cmds` was built as ObserveBatch in the
-            // loop above; if that ever changed, fail the affected
-            // indices instead of killing the shard worker.
-            let err = EngineError::Mechanism {
-                reason: "internal: ingest staged a non-batch command".to_string(),
-            };
-            for i in indices {
-                out.push((i, Err(err.clone())));
-            }
-            continue;
-        };
-        ingest_run(sessions, sid, indices, &batch, &mut out);
-    }
-    out
-}
-
-/// Execute one session's run of an ingest batch against a shard's
-/// session table, appending index-tagged results to `out`.
-fn ingest_run(
-    sessions: &mut HashMap<u64, StreamSession>,
-    sid: u64,
-    indices: Vec<usize>,
-    batch: &[DataPoint],
-    out: &mut Vec<IndexedRelease>,
-) {
-    match sessions.get_mut(&sid) {
-        None => {
-            for i in indices {
-                out.push((i, Err(EngineError::UnknownSession { id: sid })));
-            }
-        }
-        Some(session) => match session.observe_batch(batch) {
-            Ok(releases) => {
-                for (i, theta) in indices.into_iter().zip(releases) {
-                    out.push((i, Ok(theta)));
-                }
-            }
-            Err(e) => {
-                for i in indices {
-                    out.push((i, Err(e.clone())));
-                }
-            }
-        },
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::fs;
-
-    struct TempDir(PathBuf);
-
-    impl TempDir {
-        fn new(tag: &str) -> TempDir {
-            let nanos = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos();
-            let dir = std::env::temp_dir()
-                .join(format!("pir-spill-{tag}-{}-{nanos}", std::process::id()));
-            fs::create_dir_all(&dir).unwrap();
-            TempDir(dir)
-        }
-    }
-
-    impl Drop for TempDir {
-        fn drop(&mut self) {
-            let _ = fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn session(engine_seed: u64, sid: u64) -> StreamSession {
-        let params = PrivacyParams::approx(1.0, 1e-6).unwrap();
-        StreamSession::spawn(sid, &MechanismSpec::reg1_l2(2), 64, &params, engine_seed).unwrap()
-    }
-
-    /// The stale-depth regression, pinned deterministically: a session
-    /// with a queued-but-unexecuted command (a pending entry) must never
-    /// be spilled, no matter how cold its LRU slot is — before the
-    /// pending gate existed, an `ObserveBatch` could sit in the queue
-    /// while its session was evicted underneath it.
-    #[test]
-    fn eviction_skips_sessions_with_pending_commands() {
-        let dir = TempDir::new("pending-guard");
-        let options =
-            SpillOptions { dir: dir.0.clone(), resident_cap: 1, storage: StorageHandle::os() };
-        let shared = Arc::new(SpillShared::new(1));
-        let mut tier = SpillTier::new(&options, 0, Arc::clone(&shared));
-        let mut sessions = HashMap::new();
-        for sid in [1u64, 2, 3] {
-            sessions.insert(sid, session(7, sid));
-            tier.touch(sid);
-        }
-        // Session 1 is the coldest, but a submitter published a command
-        // for it: the pass must skip it and spill 2 and 3 instead.
-        shared.pending_add(0, 1);
-        tier.enforce_cap(&mut sessions);
-        assert!(sessions.contains_key(&1), "session with a queued command was spilled");
-        assert!(!sessions.contains_key(&2) && !sessions.contains_key(&3));
-        assert_eq!(tier.spilled.len(), 2);
-        assert_eq!(shared.stats().spills, 2);
-        // Retire the pending command: the next pass may spill it.
-        shared.pending_sub(0, 1);
-        tier.touch(99); // no such session — stale entries are skipped
-        sessions.insert(4, session(7, 4));
-        tier.touch(4);
-        tier.enforce_cap(&mut sessions);
-        assert!(!sessions.contains_key(&1), "idle coldest session must spill");
-        assert!(sessions.contains_key(&4), "most-recently-used session stays resident");
-    }
-
-    /// A spilled session comes back exactly as it left: same stream
-    /// position, file removed, counters advanced.
-    #[test]
-    fn spill_then_restore_round_trips_in_band() {
-        let dir = TempDir::new("restore");
-        let options =
-            SpillOptions { dir: dir.0.clone(), resident_cap: 1, storage: StorageHandle::os() };
-        let shared = Arc::new(SpillShared::new(1));
-        let mut tier = SpillTier::new(&options, 0, Arc::clone(&shared));
-        let mut sessions = HashMap::new();
-        let mut cold = session(7, 5);
-        cold.observe(&DataPoint::new(vec![0.4, 0.2], 0.3)).unwrap();
-        let t_before = cold.t();
-        sessions.insert(5, cold);
-        tier.touch(5);
-        sessions.insert(6, session(7, 6));
-        tier.touch(6);
-        tier.enforce_cap(&mut sessions);
-        assert!(!sessions.contains_key(&5), "coldest session spills");
-        assert!(tier.file(5).exists());
-        tier.restore_if_spilled(&mut sessions, 7, 5).unwrap();
-        assert_eq!(sessions[&5].t(), t_before);
-        assert!(!tier.file(5).exists(), "restore consumes the spill file");
-        let stats = shared.stats();
-        assert_eq!((stats.spills, stats.restores, stats.spilled), (1, 1, 0));
-    }
-
-    /// A corrupted spill file surfaces as a typed error and leaves the
-    /// session table untouched — never a panic, never a silently-wrong
-    /// session.
-    #[test]
-    fn corrupt_spill_file_is_a_typed_error() {
-        let dir = TempDir::new("corrupt");
-        let options =
-            SpillOptions { dir: dir.0.clone(), resident_cap: 1, storage: StorageHandle::os() };
-        let shared = Arc::new(SpillShared::new(1));
-        let mut tier = SpillTier::new(&options, 0, Arc::clone(&shared));
-        let mut sessions = HashMap::new();
-        sessions.insert(8, session(7, 8));
-        tier.touch(8);
-        sessions.insert(9, session(7, 9));
-        tier.touch(9);
-        tier.enforce_cap(&mut sessions);
-        assert!(!sessions.contains_key(&8));
-        let path = tier.file(8);
-        let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        fs::write(&path, &bytes).unwrap();
-        let err = tier.restore_if_spilled(&mut sessions, 7, 8).unwrap_err();
-        assert!(matches!(err, EngineError::Wal { .. }), "got {err:?}");
-        assert!(!sessions.contains_key(&8), "failed restore must not insert a session");
     }
 }

@@ -53,6 +53,7 @@ mod error;
 pub mod ingress;
 pub mod server;
 mod session;
+mod shard;
 pub mod snapshot;
 mod spec;
 pub mod storage;

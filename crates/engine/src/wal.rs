@@ -1478,10 +1478,25 @@ pub fn recover_with_storage(
     storage: &StorageHandle,
     dir: &Path,
     engine: &mut ShardedEngine,
+    on_reply: impl FnMut(&Command, &Reply),
+) -> Result<RecoveryReport, WalError> {
+    replay(&load_log(storage, dir)?, engine, on_reply)
+}
+
+/// Apply a loaded log to `engine`: restore the checkpointed sessions,
+/// then run every tail command through
+/// [`ShardedEngine::apply`](crate::ShardedEngine::apply). The one replay
+/// loop behind both [`recover_with_storage`] and
+/// [`EngineHandle::with_wal`](crate::EngineHandle::with_wal).
+///
+/// # Errors
+/// [`WalError::Snapshot`] if a checkpointed session cannot be restored
+/// or is restored twice; nothing is applied on error.
+pub(crate) fn replay(
+    log: &LoadedLog,
+    engine: &mut ShardedEngine,
     mut on_reply: impl FnMut(&Command, &Reply),
 ) -> Result<RecoveryReport, WalError> {
-    let log = load_log(storage, dir)?;
-
     // Checkpointed sessions come back first — they are the state every
     // tail command assumes. Restore and cross-check *all* of them before
     // adopting any, preserving the nothing-applied-on-error contract.

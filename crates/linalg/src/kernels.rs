@@ -7,8 +7,7 @@
 //!   `add_scaled_outer`) that [`Matrix`](crate::Matrix) methods and the
 //!   mechanisms drive — row-blocked where blocking measures faster
 //!   (`matvec_t`, the outer products below `OUTER_BLOCK_MAX_COLS`),
-//!   the plain row sweep where it does not (`matvec`, whose tiled
-//!   variant [`matvec_blocked`] is kept for the bench comparison);
+//!   the plain row sweep where it does not (`matvec`);
 //! - a scalar reference (`*_ref`) defining the semantics, which the
 //!   proptest suite in `crates/linalg/tests/kernel_identity.rs` pins
 //!   every other form against **bit-for-bit**.
@@ -19,9 +18,8 @@
 //! per-element operation order of its reference — row blocking reuses
 //! *loads*, never reassociates *adds*:
 //!
-//! - `matvec`/`matvec_blocked` accumulate each output row in the same
-//!   four lanes (and the same `(l0+l2)+(l1+l3)` reduction) as
-//!   [`vector::dot`];
+//! - `matvec` accumulates each output row in the same four lanes (and
+//!   the same `(l0+l2)+(l1+l3)` reduction) as [`vector::dot`];
 //! - `matvec_t` folds the rows of a block into the output in row order,
 //!   matching the sequential per-row [`vector::axpy`] sweeps;
 //! - the outer-product kernels are elementwise (one multiply per entry),
@@ -50,15 +48,17 @@ const OUTER_BLOCK_MAX_COLS: usize = 128;
 /// [`vector::dot`] sweep per row.
 ///
 /// This *is* the reference form — deliberately. Row-blocking a
-/// row-major `A·x` (see [`matvec_blocked`]) must broadcast each element
+/// row-major `A·x` must broadcast each element
 /// of `x` across the rows of the block, and the baseline x86-64 target
 /// (SSE2; `movddup` is SSE3) has no cheap lane splat: the autovectorizer
 /// falls back to scalar loads plus shuffles and the tiled form measures
 /// ~1.7× *slower* than this sweep at every benchmarked shape. Contrast
 /// [`matvec_t`], whose per-block broadcasts are loop-invariant and whose
-/// blocked form therefore wins. `kernels_matvec` in
-/// `crates/bench/benches/kernels.rs` tracks both so the choice can be
-/// retuned if the deployment target ever grows wider vectors.
+/// blocked form therefore wins. The tiled form's verdict is recorded in
+/// `BENCH_kernels.json`; `kernels_matvec` in
+/// `crates/bench/benches/kernels.rs` keeps timing this sweep against
+/// [`matvec_ref`] so the choice can be retuned if the deployment target
+/// ever grows wider vectors.
 ///
 /// # Panics
 /// Panics in debug builds on shape mismatch.
@@ -67,65 +67,6 @@ pub fn matvec(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(x.len(), cols, "matvec: x mismatch");
     for (r, o) in out.iter_mut().enumerate() {
         *o = vector::dot(&a[r * cols..(r + 1) * cols], x);
-    }
-}
-
-/// Row-pair tiled form of [`matvec`]: each 4-wide chunk of `x` is loaded
-/// once per row pair instead of once per row, every row keeping its own
-/// four accumulator lanes and the same `(l0+l2)+(l1+l3)` reduction as
-/// [`vector::dot`] — bit-identical to [`matvec_ref`], and pinned so by
-/// `kernel_identity.rs`.
-///
-/// **Measured slower than [`matvec`] on the current target** (no cheap
-/// SSE2 lane broadcast — see the [`matvec`] docs); kept as the tuned
-/// starting point for wider-vector targets, benchmarked alongside the
-/// production sweep.
-///
-/// # Panics
-/// Panics in debug builds on shape mismatch.
-pub fn matvec_blocked(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(a.len(), out.len() * cols, "matvec_blocked: matrix/out mismatch");
-    debug_assert_eq!(x.len(), cols, "matvec_blocked: x mismatch");
-    let full = cols / 4 * 4;
-    let mut blocks = out.chunks_exact_mut(2);
-    let mut r = 0usize;
-    for ob in blocks.by_ref() {
-        let r0 = &a[r * cols..(r + 1) * cols];
-        let r1 = &a[(r + 1) * cols..(r + 2) * cols];
-        // Flat lane arrays with a fully unrolled body, mirroring
-        // [`vector::dot`]; chunks_exact gives the optimizer
-        // constant-length slices, so the body compiles without bounds
-        // checks.
-        let mut l0 = [0.0f64; 4];
-        let mut l1 = [0.0f64; 4];
-        let cx = x[..full].chunks_exact(4);
-        for (j, xc) in cx.enumerate() {
-            let b = 4 * j;
-            let k0: &[f64; 4] = r0[b..b + 4].try_into().expect("chunk is 4 wide");
-            let k1: &[f64; 4] = r1[b..b + 4].try_into().expect("chunk is 4 wide");
-            l0[0] += k0[0] * xc[0];
-            l0[1] += k0[1] * xc[1];
-            l0[2] += k0[2] * xc[2];
-            l0[3] += k0[3] * xc[3];
-            l1[0] += k1[0] * xc[0];
-            l1[1] += k1[1] * xc[1];
-            l1[2] += k1[2] * xc[2];
-            l1[3] += k1[3] * xc[3];
-        }
-        for (k, o) in ob.iter_mut().enumerate() {
-            let l = if k == 0 { l0 } else { l1 };
-            let mut s = (l[0] + l[2]) + (l[1] + l[3]);
-            let rk = if k == 0 { r0 } else { r1 };
-            for jj in full..cols {
-                s += rk[jj] * x[jj];
-            }
-            *o = s;
-        }
-        r += 2;
-    }
-    for o in blocks.into_remainder() {
-        *o = vector::dot(&a[r * cols..(r + 1) * cols], x);
-        r += 1;
     }
 }
 
@@ -301,13 +242,10 @@ mod tests {
                 let x = data(cols, 0.7);
                 let y = data(rows, 1.3);
                 let mut got = vec![0.0; rows];
-                let mut got_blocked = vec![1.0; rows];
                 let mut want = vec![2.0; rows];
                 matvec(cols, &a, &x, &mut got);
-                matvec_blocked(cols, &a, &x, &mut got_blocked);
                 matvec_ref(cols, &a, &x, &mut want);
                 assert_eq!(got, want, "matvec {rows}x{cols}");
-                assert_eq!(got_blocked, want, "matvec_blocked {rows}x{cols}");
 
                 let mut got = vec![2.0; cols];
                 let mut want = vec![3.0; cols];

@@ -21,9 +21,8 @@ const MAX_R: usize = 19;
 const MAX_C: usize = 13;
 
 proptest! {
-    /// Covers both the production sweep and the tiled variant: either
-    /// may back `Matrix::matvec` depending on target retuning, so both
-    /// are pinned to the reference.
+    /// The production sweep is the reference's own loop today; the pin
+    /// keeps it so if `matvec` is ever retuned for a wider target.
     #[test]
     fn matvec_forms_are_bit_identical_to_reference(
         a in buf(MAX_R * MAX_C),
@@ -34,14 +33,11 @@ proptest! {
         let a = &a[..rows * cols];
         let x = &x[..cols];
         let mut got = vec![f64::NAN; rows];
-        let mut got_blocked = vec![f64::NAN; rows];
         let mut want = vec![0.0; rows];
         kernels::matvec(cols, a, x, &mut got);
-        kernels::matvec_blocked(cols, a, x, &mut got_blocked);
         kernels::matvec_ref(cols, a, x, &mut want);
-        for ((g, gb), w) in got.iter().zip(&got_blocked).zip(&want) {
+        for (g, w) in got.iter().zip(&want) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
-            prop_assert_eq!(gb.to_bits(), w.to_bits());
         }
     }
 

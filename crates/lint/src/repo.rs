@@ -24,8 +24,9 @@ use crate::baseline::{self, Baseline, BaselineError};
 use crate::rules::{durability, hygiene, panic_free, protocol, storage_layer, zero_alloc, Finding};
 
 /// R1 scope: files that run on shard-worker / connection threads.
-pub const R1_FILES: [&str; 8] = [
+pub const R1_FILES: [&str; 9] = [
     "crates/engine/src/ingress.rs",
+    "crates/engine/src/shard.rs",
     "crates/engine/src/wire.rs",
     "crates/engine/src/server.rs",
     "crates/engine/src/tcp.rs",
@@ -62,8 +63,12 @@ pub const R4_DOC: &str = "docs/PROTOCOL.md";
 /// `Storage` trait so the crash-consistency harness can fault and
 /// crash every op. `storage.rs` itself is deliberately absent — it is
 /// the one place direct `std::fs` calls belong.
-pub const R6_FILES: [&str; 3] =
-    ["crates/engine/src/wal.rs", "crates/engine/src/snapshot.rs", "crates/engine/src/ingress.rs"];
+pub const R6_FILES: [&str; 4] = [
+    "crates/engine/src/wal.rs",
+    "crates/engine/src/snapshot.rs",
+    "crates/engine/src/ingress.rs",
+    "crates/engine/src/shard.rs",
+];
 
 /// R5 manifest: every crate root and its `missing_docs` policy. The
 /// test shims are `DocPolicy::None` — their public surface is largely
@@ -230,5 +235,10 @@ mod tests {
         let root = workspace_root();
         let files = rust_files(&root, "crates/engine/src").unwrap();
         assert!(files.iter().any(|f| f.ends_with("ingress.rs")), "{files:?}");
+        // The shard state machine runs on every worker thread and owns
+        // the spill tier's file I/O: it is under R1 and R6 like ingress.
+        let shard = "crates/engine/src/shard.rs";
+        assert!(files.iter().any(|f| f == shard), "{files:?}");
+        assert!(R1_FILES.contains(&shard) && R6_FILES.contains(&shard));
     }
 }

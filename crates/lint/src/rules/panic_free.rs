@@ -1,12 +1,12 @@
 //! R1 — panic-free serving path.
 //!
-//! The engine's serving files (`ingress`, `wire`, `server`, `tcp`,
-//! `wal`, `snapshot`, `session`) run on shard-worker and connection
-//! threads. A panic there kills a worker: every session on the shard
-//! stalls, queued commands are dropped, and the engine degrades to
-//! `EngineError::Closed` for traffic that was perfectly healthy. The
-//! contract since PR 6 is that these files report failures through
-//! typed errors (`EngineError` / `WireError` / `WalError` /
+//! The engine's serving files (`ingress`, `shard`, `wire`, `server`,
+//! `tcp`, `wal`, `snapshot`, `session`, `storage`) run on shard-worker
+//! and connection threads. A panic there kills a worker: every session
+//! on the shard stalls, queued commands are dropped, and the engine
+//! degrades to `EngineError::Closed` for traffic that was perfectly
+//! healthy. The contract is that these files report failures
+//! through typed errors (`EngineError` / `WireError` / `WalError` /
 //! `SnapshotError`) — never through the panic machinery.
 //!
 //! Flagged in non-test code:

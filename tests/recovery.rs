@@ -499,3 +499,75 @@ fn with_wal_tolerates_and_counts_a_torn_tail() {
     assert_eq!(stats.sessions, 1);
     assert_eq!(stats.points, cmds.len() - 1);
 }
+
+/// Replay reproduces a run's deterministic failures instead of aborting
+/// on them, and both restart paths count them alike: a WAL-enabled
+/// engine logs a duplicate open, an observe and a release on unknown
+/// sessions, and an over-horizon observe (every command is logged before
+/// it executes, so the failures are in the log). Restarting through
+/// `wal::recover` into a `ShardedEngine` and through
+/// `EngineHandle::with_wal` must both report exactly the error replies
+/// the original run sent, then release bit-identically afterwards.
+#[test]
+fn replayed_failures_are_counted_alike_by_both_restart_paths() {
+    let seed = 5150;
+    let d = 3;
+    let spec = MechanismSpec::reg1_l2(d);
+    let tmp = TempDir::new("replay-failures");
+    let options = WalOptions { fsync: FsyncPolicy::Off, ..WalOptions::new(tmp.path()) };
+    let open = |session_id, t_max| Command::Open {
+        session_id,
+        spec: spec.clone(),
+        t_max,
+        params: params(),
+    };
+    let observe =
+        |session_id: u64, t| Command::Observe { session_id, point: point(d, t, session_id) };
+
+    let mut cmds = vec![open(1, 16), open(2, 2), open(1, 16)];
+    cmds.push(observe(9, 0));
+    cmds.push(Command::Release { session_id: 8 });
+    cmds.extend((0..3).map(|t| observe(2, t))); // the third is past t_max = 2
+    cmds.extend((0..2).map(|t| observe(1, t)));
+
+    // ---- The original run: count the error replies it sends --------------
+    let (handle, report) =
+        EngineHandle::with_wal(IngressConfig { num_shards: 2, seed, queue_depth: 64 }, &options)
+            .unwrap();
+    assert_eq!(report.commands, 0);
+    let tickets: Vec<Ticket> = cmds.iter().map(|c| handle.submit(c.clone()).unwrap()).collect();
+    let errors =
+        tickets.into_iter().map(Ticket::wait).filter(|r| matches!(r, Reply::Err(_))).count();
+    assert_eq!(errors, 4, "duplicate open, two unknown sessions, one over-horizon observe");
+    handle.close();
+
+    // ---- Restart 1: `wal::recover` into a direct engine (read-only) -------
+    let mut direct = fresh_engine(3, seed);
+    let direct_report = wal::recover(tmp.path(), &mut direct).unwrap();
+    assert_eq!(direct_report.commands, cmds.len() as u64);
+    assert_eq!(direct_report.failed, errors as u64);
+
+    // ---- Restart 2: the pipelined engine on the same log ------------------
+    let (handle, report) =
+        EngineHandle::with_wal(IngressConfig { num_shards: 1, seed, queue_depth: 64 }, &options)
+            .unwrap();
+    assert_eq!(report.commands, cmds.len() as u64);
+    assert_eq!(report.failed, errors as u64);
+
+    // Later releases agree bit-for-bit, failures included.
+    let later: Vec<Command> = (2..6).map(|t| observe(1, t)).chain([observe(2, 3)]).collect();
+    for cmd in &later {
+        let piped = handle.submit(cmd.clone()).unwrap().wait();
+        let want = direct.apply(cmd);
+        match (&piped, &want) {
+            (Reply::Releases { thetas: got, .. }, Reply::Releases { thetas: exp, .. }) => {
+                let bits = |t: &Vec<Vec<f64>>| -> Vec<u64> {
+                    t.iter().flatten().map(|x| x.to_bits()).collect()
+                };
+                assert_eq!(bits(got), bits(exp), "{cmd:?} diverged across the restarts");
+            }
+            _ => assert_eq!(piped, want, "{cmd:?} diverged across the restarts"),
+        }
+    }
+    assert_eq!(handle.close().sessions, direct.session_count());
+}
