@@ -390,3 +390,103 @@ fn checkpoint_without_a_wal_is_invalid_config() {
     assert!(matches!(err, EngineError::InvalidConfig { .. }), "got {err:?}");
     handle.close();
 }
+
+// ---------------------------------------------------------------------------
+// Manifest bytes
+// ---------------------------------------------------------------------------
+
+/// Log one `OPEN` of a `Trivial` session (id 7, `t_max = 8`, unit
+/// `L2Ball` in dimension 2) to shard 0, recover it into a seed-7 engine,
+/// and checkpoint: the manifest is generation 0 with one chain and the
+/// 115-byte `PIRS` blob of docs/PROTOCOL.md's snapshot worked example.
+/// Returns the manifest's path.
+fn write_worked_example_manifest(dir: &Path) -> PathBuf {
+    let open = Command::Open {
+        session_id: 7,
+        spec: MechanismSpec::Trivial { set: SetSpec::unit_l2(2) },
+        t_max: 8,
+        params: params(),
+    };
+    log_and_crash(dir, &[open]);
+    let mut engine = fresh_engine(1, 7);
+    wal::recover(dir, &mut engine).unwrap();
+    let report = wal::checkpoint(dir, &engine).unwrap();
+    assert_eq!((report.generation, report.sessions), (0, 1));
+    dir.join(wal::checkpoint_file_name(0))
+}
+
+#[test]
+fn manifest_worked_example_matches_protocol_md() {
+    let tmp = TempDir::new("manifest-example");
+    let bytes = std::fs::read(write_worked_example_manifest(tmp.path())).unwrap();
+    #[rustfmt::skip]
+    let expected: Vec<u8> = vec![
+        // magic "PIRC", version 1, reserved
+        0x50, 0x49, 0x52, 0x43, 0x01, 0x00, 0x00, 0x00,
+        // body length = 148
+        0x94, 0x00, 0x00, 0x00,
+        // generation = 0
+        0x00, 0x00, 0x00, 0x00,
+        // epoch present, max epoch = 0
+        0x01, 0x00, 0x00, 0x00, 0x00,
+        // one chain: shard 0, next_seg_seq 1, next_record_seq 1
+        0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        // one snapshot of 115 bytes: the PIRS worked example, verbatim
+        0x01, 0x00, 0x00, 0x00,
+        0x73, 0x00, 0x00, 0x00,
+        0x50, 0x49, 0x52, 0x53, 0x02, 0x00, 0x00, 0x00, 0x63, 0x00, 0x00, 0x00,
+        0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0xE5, 0xBA, 0xE3, 0x50, 0xED, 0xE3, 0x27, 0xB9,
+        0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+        0x8D, 0xED, 0xB5, 0xA0, 0xF7, 0xC6, 0xB0, 0x3E,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+        0x8D, 0xED, 0xB5, 0xA0, 0xF7, 0xC6, 0xB0, 0x3E,
+        0x12, 0x00, 0x00, 0x00, 0x03, 0x00,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xF0, 0x3F,
+        0x09, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x14, 0xB7, 0xCC, 0x69,
+        // CRC-32 over header + body
+        0xFD, 0x23, 0x1E, 0x1F,
+    ];
+    assert_eq!(bytes.len(), 164);
+    assert_eq!(bytes, expected, "docs/PROTOCOL.md's PIRC worked example is stale");
+}
+
+/// Recover `dir` with the manifest replaced by `bytes`: it must be
+/// refused as `CorruptManifest` — never `Ok`, never a panic — since the
+/// segments the manifest covered are already gone.
+fn assert_manifest_refused(dir: &Path, manifest: &Path, bytes: &[u8], what: &str) {
+    std::fs::write(manifest, bytes).unwrap();
+    let mut engine = fresh_engine(1, 7);
+    match wal::recover(dir, &mut engine) {
+        Err(WalError::CorruptManifest { .. }) => {}
+        other => panic!("{what}: expected CorruptManifest, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_manifest_truncation_is_corrupt_manifest() {
+    let tmp = TempDir::new("manifest-truncation");
+    let path = write_worked_example_manifest(tmp.path());
+    let bytes = std::fs::read(&path).unwrap();
+    for cut in 0..bytes.len() {
+        assert_manifest_refused(tmp.path(), &path, &bytes[..cut], &format!("prefix of {cut}"));
+    }
+}
+
+#[test]
+fn every_manifest_bit_flip_is_corrupt_manifest() {
+    let tmp = TempDir::new("manifest-bit-flip");
+    let path = write_worked_example_manifest(tmp.path());
+    let bytes = std::fs::read(&path).unwrap();
+    for i in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[i / 8] ^= 1 << (i % 8);
+        assert_manifest_refused(tmp.path(), &path, &flipped, &format!("flip of bit {i}"));
+    }
+}

@@ -239,3 +239,54 @@ proptest! {
         prop_assert_eq!(&restored.snapshot().unwrap(), &a);
     }
 }
+
+/// Golden pins of the mechanism state codec: the exact length and CRC-32
+/// of each snapshot-capable mechanism's `save_state` blob after a fixed
+/// seeded stream. Any change to the byte layout of the dynamic state —
+/// field order, widths, the tree encoding — moves one of these numbers,
+/// so a codec refactor that claims "bytes unchanged" is held to it.
+#[test]
+fn mechanism_state_blobs_are_byte_pinned() {
+    let p = params();
+    let mut rng = NoiseRng::seed_from_u64(2017);
+    let reg2_config =
+        PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() };
+    let mut mechs: Vec<(&str, Box<dyn IncrementalMechanism>)> = vec![
+        (
+            "reg1 d=2",
+            Box::new(
+                PrivIncReg1::new(Box::new(L2Ball::unit(2)), 16, &p, &mut rng, Default::default())
+                    .unwrap(),
+            ),
+        ),
+        (
+            "reg2 d=4 m=3",
+            Box::new(
+                PrivIncReg2::new(Box::new(L1Ball::unit(4)), 2.0, 16, &p, &mut rng, reg2_config)
+                    .unwrap(),
+            ),
+        ),
+        ("exact d=2", Box::new(ExactIncremental::new(Box::new(L2Ball::unit(2))))),
+        ("trivial d=2", Box::new(TrivialMechanism::new(&L2Ball::unit(2)))),
+    ];
+    let mut pins = Vec::new();
+    for (name, mech) in &mut mechs {
+        let d = mech.dim();
+        for t in 0..5 {
+            mech.observe(&point(d, t, 3)).unwrap();
+        }
+        let mut blob = Vec::new();
+        mech.save_state(&mut blob).unwrap();
+        pins.push((*name, blob.len(), pir_engine::wal::crc32(&blob)));
+    }
+    assert_eq!(
+        pins,
+        vec![
+            ("reg1 d=2", 849, 0xD4CD_9BD7),
+            ("reg2 d=4 m=3", 1425, 0x3314_D250),
+            ("exact d=2", 105, 0x6991_3C2E),
+            ("trivial d=2", 9, 0x9764_260F),
+        ],
+        "mechanism state codec bytes moved"
+    );
+}
