@@ -11,9 +11,9 @@
 //!   minimizer from running sufficient statistics: the oracle `θ̂_t` of
 //!   Definition 1 and the `ε → ∞` limit of the private mechanisms.
 
+use crate::codec::{self, Dec, Enc};
 use crate::error::CoreError;
 use crate::generic::{PrivIncErm, TauRule};
-use crate::state;
 use crate::stream::IncrementalMechanism;
 use crate::Result;
 use pir_dp::{NoiseRng, PrivacyParams};
@@ -81,16 +81,17 @@ impl IncrementalMechanism for TrivialMechanism {
     /// Dynamic state is just the step counter: the release is a fixed
     /// point of `C`, reproduced by the constructor.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
-        state::put_u8(out, state::TAG_TRIVIAL);
-        state::put_u64(out, self.t as u64);
+        let mut e = Enc::new(out);
+        e.u8(codec::TAG_TRIVIAL);
+        e.u64(self.t as u64);
         Ok(())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut r = state::StateReader::new(bytes);
-        r.expect_tag(state::TAG_TRIVIAL, "trivial")?;
-        let t = r.take_u64("step counter")? as usize;
-        r.finish()?;
+        let mut d = Dec::new(bytes);
+        codec::expect_tag(&mut d, codec::TAG_TRIVIAL, "trivial")?;
+        let t = d.u64()? as usize;
+        d.finish()?;
         self.t = t;
         Ok(())
     }
@@ -183,24 +184,25 @@ impl IncrementalMechanism for ExactIncremental {
     /// `XᵀX, Xᵀy, Σy²` plus the warm-start iterate (`O(d²)` bytes). No
     /// randomness is involved, so the restore is trivially bit-exact.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
-        state::put_u8(out, state::TAG_EXACT);
-        state::put_u64(out, self.t as u64);
-        state::put_f64(out, self.yy);
-        state::put_f64_slice(out, &self.theta);
-        state::put_f64_slice(out, &self.xty);
-        state::put_f64_slice(out, self.xtx.as_slice());
+        let mut e = Enc::new(out);
+        e.u8(codec::TAG_EXACT);
+        e.u64(self.t as u64);
+        e.f64(self.yy);
+        e.f64_slice(&self.theta);
+        e.f64_slice(&self.xty);
+        e.f64_slice(self.xtx.as_slice());
         Ok(())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut r = state::StateReader::new(bytes);
-        r.expect_tag(state::TAG_EXACT, "exact incremental")?;
-        let t = r.take_u64("step counter")? as usize;
-        let yy = r.take_f64("response energy")?;
-        let theta = r.take_f64_vec("warm-start iterate")?;
-        let xty = r.take_f64_vec("first moment")?;
-        let xtx = r.take_f64_vec("second moment")?;
-        r.finish()?;
+        let mut d = Dec::new(bytes);
+        codec::expect_tag(&mut d, codec::TAG_EXACT, "exact incremental")?;
+        let t = d.u64()? as usize;
+        let yy = d.f64()?;
+        let theta = d.f64_vec()?;
+        let xty = d.f64_vec()?;
+        let xtx = d.f64_vec()?;
+        d.finish()?;
         let d = self.set.dim();
         if theta.len() != d || xty.len() != d || xtx.len() != d * d {
             return Err(CoreError::InvalidState {

@@ -25,6 +25,7 @@
 #![deny(missing_docs)]
 
 pub mod baselines;
+pub mod codec;
 pub mod descent;
 mod error;
 pub mod evaluate;
@@ -34,7 +35,6 @@ pub mod lift;
 pub mod mech1;
 pub mod mech2;
 pub mod robust;
-pub mod state;
 mod stream;
 
 pub use baselines::{ExactIncremental, ExactIncrementalRestricted, TrivialMechanism};

@@ -15,9 +15,9 @@
 //! output sequence is `(ε, δ)`-DP (Theorem A.3 over the two trees).
 //! Memory: `O(d² log T)` — logarithmic in the stream length.
 
+use crate::codec::{self, Dec, Enc};
 use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
 use crate::error::CoreError;
-use crate::state;
 use crate::stream::IncrementalMechanism;
 use crate::Result;
 use pir_continual::TreeMechanism;
@@ -377,22 +377,23 @@ impl IncrementalMechanism for PrivIncReg1 {
     /// mechanism). Scratch buffers are excluded: every step overwrites
     /// them before reading, so they carry no information across steps.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
-        state::put_u8(out, state::TAG_REG1);
-        state::put_u64(out, self.t as u64);
-        state::put_f64_slice(out, &self.last_theta);
-        state::put_tree(out, &self.tree_xy.export_state());
-        state::put_tree(out, &self.tree_xx.export_state());
+        let mut e = Enc::new(out);
+        e.u8(codec::TAG_REG1);
+        e.u64(self.t as u64);
+        e.f64_slice(&self.last_theta);
+        codec::put_tree(&mut e, &self.tree_xy.export_state());
+        codec::put_tree(&mut e, &self.tree_xx.export_state());
         Ok(())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut r = state::StateReader::new(bytes);
-        r.expect_tag(state::TAG_REG1, "priv-inc-reg-1")?;
-        let t = r.take_u64("step counter")? as usize;
-        let last_theta = r.take_f64_vec("warm-start iterate")?;
-        let xy = r.take_tree("first-moment tree")?;
-        let xx = r.take_tree("second-moment tree")?;
-        r.finish()?;
+        let mut d = Dec::new(bytes);
+        codec::expect_tag(&mut d, codec::TAG_REG1, "priv-inc-reg-1")?;
+        let t = d.u64()? as usize;
+        let last_theta = d.f64_vec()?;
+        let xy = codec::take_tree(&mut d)?;
+        let xx = codec::take_tree(&mut d)?;
+        d.finish()?;
         self.check_state(t, &last_theta, xy.t, xx.t)?;
         self.tree_xy.restore_state(&xy)?;
         self.tree_xx.restore_state(&xx)?;

@@ -19,10 +19,10 @@
 //! `γ = W^{1/3}/T^{1/3}` and `W = w(X) + w(C)`, giving Theorem 5.7's
 //! `≈ T^{1/3} W^{2/3}/ε` risk. Memory: `O(m² log T + d)`.
 
+use crate::codec::{self, Dec, Enc};
 use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
 use crate::error::CoreError;
 use crate::lift::{lift_constrained_ls_into, sketch_smoothness, LiftScratch};
-use crate::state;
 use crate::stream::IncrementalMechanism;
 use crate::Result;
 use pir_continual::TreeMechanism;
@@ -497,24 +497,25 @@ impl IncrementalMechanism for PrivIncReg2 {
     /// is static, resampled bit-identically when the mechanism is respawned
     /// from its spec and seed.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
-        state::put_u8(out, state::TAG_REG2);
-        state::put_u64(out, self.t as u64);
-        state::put_f64_slice(out, &self.last_vartheta);
-        state::put_f64_slice(out, &self.last_theta);
-        state::put_tree(out, &self.tree_xy.export_state());
-        state::put_tree(out, &self.tree_xx.export_state());
+        let mut e = Enc::new(out);
+        e.u8(codec::TAG_REG2);
+        e.u64(self.t as u64);
+        e.f64_slice(&self.last_vartheta);
+        e.f64_slice(&self.last_theta);
+        codec::put_tree(&mut e, &self.tree_xy.export_state());
+        codec::put_tree(&mut e, &self.tree_xx.export_state());
         Ok(())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
-        let mut r = state::StateReader::new(bytes);
-        r.expect_tag(state::TAG_REG2, "priv-inc-reg-2")?;
-        let t = r.take_u64("step counter")? as usize;
-        let last_vartheta = r.take_f64_vec("projected warm-start iterate")?;
-        let last_theta = r.take_f64_vec("lifted warm-start iterate")?;
-        let xy = r.take_tree("first-moment tree")?;
-        let xx = r.take_tree("second-moment tree")?;
-        r.finish()?;
+        let mut d = Dec::new(bytes);
+        codec::expect_tag(&mut d, codec::TAG_REG2, "priv-inc-reg-2")?;
+        let t = d.u64()? as usize;
+        let last_vartheta = d.f64_vec()?;
+        let last_theta = d.f64_vec()?;
+        let xy = codec::take_tree(&mut d)?;
+        let xx = codec::take_tree(&mut d)?;
+        d.finish()?;
         if t > self.t_max {
             return Err(CoreError::InvalidState {
                 reason: format!("t = {t} exceeds horizon T = {}", self.t_max),

@@ -179,7 +179,7 @@ pub trait IncrementalMechanism: Send {
     }
 
     /// Append this mechanism's *dynamic* state to `out` as a
-    /// self-delimiting byte blob (see [`crate::state`] for the codec).
+    /// self-delimiting byte blob (see [`crate::codec`] for the codec).
     /// Static configuration is deliberately excluded: a restore
     /// reconstructs the mechanism from its spec and seed first (which
     /// reproduces the constraint set, noise calibration, sketch matrix,

@@ -266,12 +266,25 @@ impl SpillShared {
         }
     }
 
-    pub(crate) fn pending_add(&self, shard: usize, session_id: u64) {
-        *lock_or_recover(&self.pending[shard]).entry(session_id).or_insert(0) += 1;
+    /// Count one more queued command for each of `session_ids` on
+    /// `shard`, under one lock.
+    pub(crate) fn pending_add(
+        &self,
+        shard: usize,
+        session_ids: impl IntoIterator<Item = u64>,
+    ) -> Result<(), EngineError> {
+        let mut map = lock_or_recover(shard_slot(&self.pending, shard)?);
+        for sid in session_ids {
+            *map.entry(sid).or_insert(0) += 1;
+        }
+        Ok(())
     }
 
+    /// Count one queued command for `session_id` on `shard` as done. A
+    /// shard with no pending map has nothing to count down.
     pub(crate) fn pending_sub(&self, shard: usize, session_id: u64) {
-        let mut map = lock_or_recover(&self.pending[shard]);
+        let Ok(slot) = shard_slot(&self.pending, shard) else { return };
+        let mut map = lock_or_recover(slot);
         if let Some(n) = map.get_mut(&session_id) {
             if *n <= 1 {
                 map.remove(&session_id);
@@ -281,8 +294,12 @@ impl SpillShared {
         }
     }
 
+    /// Whether `session_id` has queued commands on `shard` (and so must
+    /// not be evicted). A shard with no pending map answers yes: the safe
+    /// verdict keeps the session resident.
     pub(crate) fn has_pending(&self, shard: usize, session_id: u64) -> bool {
-        lock_or_recover(&self.pending[shard]).contains_key(&session_id)
+        shard_slot(&self.pending, shard)
+            .map_or(true, |slot| lock_or_recover(slot).contains_key(&session_id))
     }
 }
 
@@ -687,6 +704,11 @@ impl SubmitHandle {
         shard_of(session_id, self.lanes.len())
     }
 
+    #[inline]
+    fn lane(&self, shard: usize) -> Result<&Lane, EngineError> {
+        shard_slot(&self.lanes, shard)
+    }
+
     /// Try to reserve `cost` points of queue space on `shard`.
     ///
     /// On failure the `depth` carried by [`EngineError::Backpressure`] is
@@ -702,7 +724,7 @@ impl SubmitHandle {
         if cost > self.capacity {
             return Err(EngineError::CommandTooLarge { shard, cost, capacity: self.capacity });
         }
-        let depth = &self.lanes[shard].depth;
+        let depth = &self.lane(shard)?.depth;
         depth
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
                 (cur + cost <= self.capacity).then_some(cur + cost)
@@ -731,7 +753,7 @@ impl SubmitHandle {
     /// instead of a spin.
     fn ride_flush_barrier(&self, shard: usize) -> Result<(), EngineError> {
         let (tx, rx) = mpsc::channel();
-        if self.lanes[shard].tx.send(Job::Flush { ack: tx }).is_err() || rx.recv().is_err() {
+        if self.lane(shard)?.tx.send(Job::Flush { ack: tx }).is_err() || rx.recv().is_err() {
             return Err(EngineError::Closed);
         }
         std::thread::yield_now();
@@ -788,6 +810,10 @@ impl SubmitHandle {
             return Ok(Ticket::resolved(Reply::Closed));
         };
         let shard = self.shard_index(session_id);
+        let lane = match self.lane(shard) {
+            Ok(lane) => lane,
+            Err(e) => return Err((cmd, e)),
+        };
         let cost = cmd.cost();
         if let Err(e) = self.reserve(shard, cost) {
             return Err((cmd, e));
@@ -798,16 +824,19 @@ impl SubmitHandle {
         // job yet — in which case its arrival restores the session
         // in-band. Incrementing after the send would reopen the window.
         if let Some(spill) = &self.spill {
-            spill.pending_add(shard, session_id);
+            if let Err(e) = spill.pending_add(shard, [session_id]) {
+                lane.depth.fetch_sub(cost, Ordering::SeqCst);
+                return Err((cmd, e));
+            }
         }
         let (reply_tx, reply_rx) = mpsc::channel();
-        match self.lanes[shard].tx.send(Job::Cmd { cmd, cost, reply: reply_tx }) {
+        match lane.tx.send(Job::Cmd { cmd, cost, reply: reply_tx }) {
             Ok(()) => Ok(Ticket { rx: reply_rx }),
             // Worker gone (only possible after a panic or close): roll
             // the reservation back and surface the shutdown, handing the
             // command (recovered from the undeliverable job) back.
             Err(mpsc::SendError(job)) => {
-                self.lanes[shard].depth.fetch_sub(cost, Ordering::SeqCst);
+                lane.depth.fetch_sub(cost, Ordering::SeqCst);
                 if let Some(spill) = &self.spill {
                     spill.pending_sub(shard, session_id);
                 }
@@ -923,29 +952,37 @@ impl SubmitHandle {
         let mut pending: Vec<Receiver<Vec<IndexedRelease>>> = Vec::new();
         for (shard, runs) in group_runs(points, self.lanes.len()) {
             let cost: usize = runs.iter().map(|(_, _, b)| b.len()).sum::<usize>().max(1);
-            if let Err(e) = self.reserve_blocking(shard, cost) {
-                // Permanent rejection (slice can never fit) or a dead
-                // worker: report it on every affected index.
-                let indices = runs.iter().flat_map(|(_, idx, _)| idx.iter().copied());
-                answered.extend(indices.map(|i| (i, Err(e.clone()))));
-                continue;
-            }
             // Same pre-send publication as `try_submit`: every session
             // this slice touches is pinned resident until its run
             // executes.
-            if let Some(spill) = &self.spill {
-                let mut map = lock_or_recover(&spill.pending[shard]);
-                for (sid, _, _) in &runs {
-                    *map.entry(*sid).or_insert(0) += 1;
+            let admitted = self.lane(shard).and_then(|lane| {
+                self.reserve_blocking(shard, cost)?;
+                if let Some(spill) = &self.spill {
+                    let published = spill.pending_add(shard, runs.iter().map(|r| r.0));
+                    if published.is_err() {
+                        lane.depth.fetch_sub(cost, Ordering::SeqCst);
+                    }
+                    published?;
                 }
-            }
+                Ok(lane)
+            });
+            let lane = match admitted {
+                Ok(lane) => lane,
+                Err(e) => {
+                    // Permanent rejection (slice can never fit) or a dead
+                    // worker: report it on every affected index.
+                    let indices = runs.iter().flat_map(|(_, idx, _)| idx.iter().copied());
+                    answered.extend(indices.map(|i| (i, Err(e.clone()))));
+                    continue;
+                }
+            };
             let run_sids: Vec<u64> =
                 if self.spill.is_some() { runs.iter().map(|r| r.0).collect() } else { Vec::new() };
             let (tx, rx) = mpsc::channel();
-            if self.lanes[shard].tx.send(Job::Ingest { runs, cost, reply: tx }).is_err() {
+            if lane.tx.send(Job::Ingest { runs, cost, reply: tx }).is_err() {
                 // Worker gone: roll back, and leave the slice unanswered
                 // (`scatter` reports it as Closed).
-                self.lanes[shard].depth.fetch_sub(cost, Ordering::SeqCst);
+                lane.depth.fetch_sub(cost, Ordering::SeqCst);
                 if let Some(spill) = &self.spill {
                     for sid in run_sids {
                         spill.pending_sub(shard, sid);
@@ -1332,6 +1369,16 @@ fn validate_config(config: &IngressConfig) -> Result<(), EngineError> {
     Ok(())
 }
 
+/// The per-shard slot `shard` of `slots` (a lane, or a spill pending
+/// map). Every `shard` comes from `shard_of` over the same shard count,
+/// so a miss is an engine bug — reported as a typed error instead of a
+/// panic on a connection or worker thread.
+fn shard_slot<T>(slots: &[T], shard: usize) -> Result<&T, EngineError> {
+    slots.get(shard).ok_or_else(|| EngineError::InvalidConfig {
+        reason: format!("shard {shard} is out of range for {} shards", slots.len()),
+    })
+}
+
 /// Lift a log-layer failure into the engine's error vocabulary.
 fn wal_engine_err(e: wal::WalError) -> EngineError {
     EngineError::Wal { reason: e.to_string() }
@@ -1374,31 +1421,26 @@ fn run_checkpoint(
     if let Some(e) = first_err {
         return Err(e);
     }
-    let generation = wal::next_generation(ctx.generation).map_err(wal_engine_err)?;
-    let manifest = wal::Manifest {
-        generation,
-        max_epoch: ctx.max_epoch,
-        chains: ctx
-            .chains
-            .iter()
-            .map(|(&shard, &(next_seg_seq, next_record_seq))| wal::ShardChain {
-                shard,
-                next_seg_seq,
-                next_record_seq,
-            })
-            .collect(),
+    let chains = ctx
+        .chains
+        .iter()
+        .map(|(&shard, &(next_seg_seq, next_record_seq))| wal::ShardChain {
+            shard,
+            next_seg_seq,
+            next_record_seq,
+        })
+        .collect();
+    let report = wal::publish_checkpoint(
+        &ctx.storage,
+        &ctx.dir,
+        ctx.generation,
+        ctx.max_epoch,
+        chains,
         snapshots,
-    };
-    wal::write_manifest(&ctx.storage, &ctx.dir, &manifest).map_err(wal_engine_err)?;
-    let (segments_purged, manifests_removed) =
-        wal::purge_covered(&ctx.storage, &ctx.dir, &manifest).map_err(wal_engine_err)?;
-    ctx.generation = Some(generation);
-    Ok(CheckpointReport {
-        generation,
-        sessions: manifest.snapshots.len(),
-        segments_purged,
-        manifests_removed,
-    })
+    )
+    .map_err(wal_engine_err)?;
+    ctx.generation = Some(report.generation);
+    Ok(report)
 }
 
 /// The auto-checkpoint coordinator thread: parked on the [`WalShared`]

@@ -176,10 +176,6 @@ impl StreamSession {
     /// [`SnapshotError::Unsupported`] when
     /// [`supports_snapshot`](StreamSession::supports_snapshot) is false.
     pub fn snapshot_into(&self, out: &mut Vec<u8>) -> Result<(), SnapshotError> {
-        let mut state = Vec::new();
-        self.mech
-            .save_state(&mut state)
-            .map_err(|e| SnapshotError::Unsupported { reason: e.to_string() })?;
         let budget = self.accountant.budget();
         let (spent_epsilon, spent_delta) = self.accountant.spent();
         snapshot::encode_into(
@@ -194,7 +190,11 @@ impl StreamSession {
                 spent_epsilon,
                 spent_delta,
                 spec: &self.spec,
-                state: &state,
+            },
+            |state| {
+                self.mech
+                    .save_state(state)
+                    .map_err(|e| SnapshotError::Unsupported { reason: e.to_string() })
             },
         )
     }
@@ -261,7 +261,7 @@ impl StreamSession {
                 .map_err(|e| SnapshotError::Restore { reason: e.to_string() })?;
         session
             .mech
-            .load_state(&snap.state)
+            .load_state(snap.state)
             .map_err(|e| SnapshotError::Restore { reason: e.to_string() })?;
         if session.mech.t() as u64 != snap.t {
             return Err(SnapshotError::Restore {

@@ -662,7 +662,7 @@ mod tests {
         }
         // Session 1 is the coldest, but a submitter published a command
         // for it: the pass must skip it and spill 2 and 3 instead.
-        shared.pending_add(0, 1);
+        shared.pending_add(0, [1]).unwrap();
         tier.enforce_cap(&mut sessions);
         assert!(sessions.contains_key(&1), "session with a queued command was spilled");
         assert!(!sessions.contains_key(&2) && !sessions.contains_key(&3));

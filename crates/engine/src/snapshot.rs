@@ -42,10 +42,12 @@
 //! 4   spec length S (u32), then S bytes: wire-encoded MechanismSpec
 //!     (the same encoding an OPEN frame carries)
 //! 4   state length M (u32), then M bytes: mechanism state blob
-//!     (the pir-core state codec; opaque at this layer)
+//!     (`pir_core::codec` mechanism-state layout; opaque here)
 //! ```
 //!
-//! Decoding is strict, in the same discipline as the WAL codec: magic,
+//! The header, length and checksum are the envelope `PIRC` manifests
+//! share (`wal::seal`/`wal::open`); the body is written and read with
+//! the `pir_core::codec` cursor pair. Decoding is strict: magic,
 //! version, and reserved bytes are checked first, then the body length
 //! against the cap and the available bytes, then the checksum, and only
 //! then is the body parsed — so a flipped byte anywhere surfaces as
@@ -59,8 +61,9 @@
 //! verify the engine seed for them.
 
 use crate::spec::MechanismSpec;
-use crate::wal::crc32;
+use crate::wal::{open, seal, EnvelopeError, SealError};
 use crate::wire;
+use pir_core::codec::{CodecError, Dec};
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PIRS";
@@ -93,13 +96,6 @@ pub fn seed_fingerprint(engine_seed: u64, session_id: u64) -> u64 {
     let s = session_seed(engine_seed, session_id);
     mix64(s ^ 0xA076_1D64_78BD_642F) ^ mix64(s.rotate_left(32) ^ 0xE703_7ED1_A0B4_28DB)
 }
-
-/// Fixed header length: magic (4) + version (1) + reserved (3) + body
-/// length (4).
-pub(crate) const SNAPSHOT_HEADER_LEN: usize = 12;
-
-/// Trailing checksum length.
-pub(crate) const SNAPSHOT_TRAILER_LEN: usize = 4;
 
 /// Hard cap on the body length (64 MiB). Real snapshots are `O(d log T)`
 /// — kilobytes — so anything near this cap is a forged or corrupt length
@@ -214,7 +210,17 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The fields a version-2 snapshot serializes, borrowed for encoding.
+impl From<CodecError> for SnapshotError {
+    /// The body parser runs only after the checksum passed, so a
+    /// shortfall means a buggy encoder or forged-and-rechecksummed length
+    /// fields: always [`SnapshotError::Malformed`].
+    fn from(e: CodecError) -> Self {
+        SnapshotError::Malformed { reason: e.to_string() }
+    }
+}
+
+/// The fields a version-2 snapshot serializes ahead of the state blob,
+/// borrowed for encoding.
 pub(crate) struct SnapshotBody<'a> {
     pub session_id: u64,
     pub seed_fingerprint: u64,
@@ -225,11 +231,11 @@ pub(crate) struct SnapshotBody<'a> {
     pub spent_epsilon: f64,
     pub spent_delta: f64,
     pub spec: &'a MechanismSpec,
-    pub state: &'a [u8],
 }
 
-/// The fields recovered from a decoded snapshot, owned.
-pub(crate) struct DecodedSnapshot {
+/// The fields recovered from a decoded snapshot; the state blob is
+/// borrowed from the snapshot bytes.
+pub(crate) struct DecodedSnapshot<'a> {
     pub session_id: u64,
     /// `None` for legacy version-1 blobs, which predate the field and
     /// cannot prove what engine seed they were taken under.
@@ -241,169 +247,75 @@ pub(crate) struct DecodedSnapshot {
     pub spent_epsilon: f64,
     pub spent_delta: f64,
     pub spec: MechanismSpec,
-    pub state: Vec<u8>,
+    pub state: &'a [u8],
 }
 
-/// Append a complete snapshot (header + body + checksum) to `out`.
-/// On error `out` is truncated back to its original length.
-pub(crate) fn encode_into(out: &mut Vec<u8>, body: &SnapshotBody<'_>) -> Result<(), SnapshotError> {
-    let start = out.len();
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.push(SNAPSHOT_VERSION);
-    out.extend_from_slice(&[0u8; 3]);
-    out.extend_from_slice(&[0u8; 4]); // body length, patched below
-
-    out.extend_from_slice(&body.session_id.to_le_bytes());
-    out.extend_from_slice(&body.seed_fingerprint.to_le_bytes());
-    out.extend_from_slice(&body.t_max.to_le_bytes());
-    out.extend_from_slice(&body.t.to_le_bytes());
-    out.extend_from_slice(&body.epsilon.to_bits().to_le_bytes());
-    out.extend_from_slice(&body.delta.to_bits().to_le_bytes());
-    out.extend_from_slice(&body.spent_epsilon.to_bits().to_le_bytes());
-    out.extend_from_slice(&body.spent_delta.to_bits().to_le_bytes());
-
-    let spec_len_at = out.len();
-    out.extend_from_slice(&[0u8; 4]);
-    if let Err(e) = wire::encode_spec_into(out, body.spec) {
-        out.truncate(start);
-        return Err(SnapshotError::Unsupported { reason: e.to_string() });
-    }
-    let spec_len = out.len() - spec_len_at - 4;
-    let Ok(spec_len) = u32::try_from(spec_len) else {
-        out.truncate(start);
-        return Err(SnapshotError::Malformed {
-            reason: format!("spec encoding is {spec_len} bytes"),
-        });
-    };
-    out[spec_len_at..spec_len_at + 4].copy_from_slice(&spec_len.to_le_bytes());
-
-    let Ok(state_len) = u32::try_from(body.state.len()) else {
-        out.truncate(start);
-        return Err(SnapshotError::Malformed {
-            reason: format!("state blob is {} bytes", body.state.len()),
-        });
-    };
-    out.extend_from_slice(&state_len.to_le_bytes());
-    out.extend_from_slice(body.state);
-
-    let body_len = out.len() - start - SNAPSHOT_HEADER_LEN;
-    if body_len > MAX_SNAPSHOT_BODY as usize {
-        out.truncate(start);
-        return Err(SnapshotError::BodyTooLarge { len: body_len as u32 });
-    }
-    let body_len = body_len as u32;
-    out[start + 8..start + 12].copy_from_slice(&body_len.to_le_bytes());
-    let crc = crc32(&out[start..]);
-    out.extend_from_slice(&crc.to_le_bytes());
-    Ok(())
-}
-
-/// Strict cursor over the checksummed body. Any shortfall here means the
-/// encoder was buggy or the length fields were forged with a fixed-up
-/// checksum, so everything maps to [`SnapshotError::Malformed`].
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SnapshotError> {
-        let remaining = self.buf.len() - self.pos;
-        if remaining < n {
-            return Err(SnapshotError::Malformed {
-                reason: format!("body ends inside {what}: need {n} bytes, have {remaining}"),
-            });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn take_u32(&mut self, what: &str) -> Result<u32, SnapshotError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn take_u64(&mut self, what: &str) -> Result<u64, SnapshotError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn take_f64(&mut self, what: &str) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.take_u64(what)?))
-    }
-
-    fn finish(self) -> Result<(), SnapshotError> {
-        let left = self.buf.len() - self.pos;
-        if left != 0 {
-            return Err(SnapshotError::Malformed {
-                reason: format!("{left} unparsed bytes after the state blob"),
-            });
-        }
+/// Append a complete snapshot (header + body + checksum) to `out`, with
+/// `state` writing the mechanism state blob in place behind its
+/// backfilled length. On error `out` is truncated back to its original
+/// length.
+pub(crate) fn encode_into(
+    out: &mut Vec<u8>,
+    body: &SnapshotBody<'_>,
+    state: impl FnOnce(&mut Vec<u8>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let too_large =
+        |len: usize| SnapshotError::BodyTooLarge { len: u32::try_from(len).unwrap_or(u32::MAX) };
+    let sealed = seal(out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY, |e| {
+        e.u64(body.session_id);
+        e.u64(body.seed_fingerprint);
+        e.u64(body.t_max);
+        e.u64(body.t);
+        e.f64(body.epsilon);
+        e.f64(body.delta);
+        e.f64(body.spent_epsilon);
+        e.f64(body.spent_delta);
+        let spec_len = e.reserve::<4>();
+        wire::encode_spec_into(e.out(), body.spec)
+            .map_err(|err| SnapshotError::Unsupported { reason: err.to_string() })?;
+        e.fill_len(spec_len, MAX_SNAPSHOT_BODY).map_err(too_large)?;
+        let state_len = e.reserve::<4>();
+        state(e.out())?;
+        e.fill_len(state_len, MAX_SNAPSHOT_BODY).map_err(too_large)?;
         Ok(())
-    }
+    });
+    sealed.map_err(|err| match err {
+        SealError::Body(err) => err,
+        SealError::TooLarge { len } => too_large(len),
+    })
 }
 
 /// Decode a complete snapshot blob, validating everything.
-pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
-    if bytes.len() < SNAPSHOT_HEADER_LEN {
-        return Err(SnapshotError::Truncated { have: bytes.len(), need: SNAPSHOT_HEADER_LEN });
-    }
-    if bytes[0..4] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic { got: [bytes[0], bytes[1], bytes[2], bytes[3]] });
-    }
-    let version = bytes[4];
-    if !(SNAPSHOT_OLDEST_READABLE..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(SnapshotError::UnsupportedVersion { got: version });
-    }
-    if bytes[5..8] != [0u8; 3] {
-        return Err(SnapshotError::NonZeroReserved);
-    }
-    let body_len = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    if body_len > MAX_SNAPSHOT_BODY {
-        return Err(SnapshotError::BodyTooLarge { len: body_len });
-    }
-    let need = SNAPSHOT_HEADER_LEN + body_len as usize + SNAPSHOT_TRAILER_LEN;
-    if bytes.len() < need {
-        return Err(SnapshotError::Truncated { have: bytes.len(), need });
-    }
-    if bytes.len() > need {
-        return Err(SnapshotError::Malformed {
-            reason: format!("{} trailing bytes after the checksum", bytes.len() - need),
-        });
-    }
-    let crc_at = need - SNAPSHOT_TRAILER_LEN;
-    let stored = u32::from_le_bytes([
-        bytes[crc_at],
-        bytes[crc_at + 1],
-        bytes[crc_at + 2],
-        bytes[crc_at + 3],
-    ]);
-    let computed = crc32(&bytes[..crc_at]);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { expected: computed, got: stored });
-    }
+pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedSnapshot<'_>, SnapshotError> {
+    let (version, body) =
+        open(bytes, SNAPSHOT_MAGIC, SNAPSHOT_OLDEST_READABLE..=SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY)
+            .map_err(|err| match err {
+                EnvelopeError::Truncated { have, need } => SnapshotError::Truncated { have, need },
+                EnvelopeError::BadMagic(got) => SnapshotError::BadMagic { got },
+                EnvelopeError::UnsupportedVersion(got) => SnapshotError::UnsupportedVersion { got },
+                EnvelopeError::NonZeroReserved => SnapshotError::NonZeroReserved,
+                EnvelopeError::TooLarge { len } => SnapshotError::BodyTooLarge { len },
+                EnvelopeError::TrailingBytes { .. } => {
+                    SnapshotError::Malformed { reason: err.to_string() }
+                }
+                EnvelopeError::ChecksumMismatch { computed, stored } => {
+                    SnapshotError::ChecksumMismatch { expected: computed, got: stored }
+                }
+            })?;
 
-    let mut c = Cursor::new(&bytes[SNAPSHOT_HEADER_LEN..crc_at]);
-    let session_id = c.take_u64("session id")?;
-    let seed_fingerprint = if version >= 2 { Some(c.take_u64("seed fingerprint")?) } else { None };
-    let t_max = c.take_u64("t_max")?;
-    let t = c.take_u64("t")?;
-    let epsilon = c.take_f64("budget epsilon")?;
-    let delta = c.take_f64("budget delta")?;
-    let spent_epsilon = c.take_f64("spent epsilon")?;
-    let spent_delta = c.take_f64("spent delta")?;
-    let spec_len = c.take_u32("spec length")? as usize;
-    let spec_bytes = c.take(spec_len, "spec")?;
-    let spec = wire::decode_spec_exact(spec_bytes)
+    let mut d = Dec::new(body);
+    let session_id = d.u64()?;
+    let seed_fingerprint = if version >= 2 { Some(d.u64()?) } else { None };
+    let t_max = d.u64()?;
+    let t = d.u64()?;
+    let epsilon = d.f64()?;
+    let delta = d.f64()?;
+    let spent_epsilon = d.f64()?;
+    let spent_delta = d.f64()?;
+    let spec = wire::decode_spec_exact(d.u32_prefixed()?)
         .map_err(|e| SnapshotError::Malformed { reason: format!("spec: {e}") })?;
-    let state_len = c.take_u32("state length")? as usize;
-    let state = c.take(state_len, "state blob")?.to_vec();
-    c.finish()?;
+    let state = d.u32_prefixed()?;
+    d.finish()?;
 
     Ok(DecodedSnapshot {
         session_id,
@@ -422,6 +334,16 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedSnapshot, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::{crc32, ENVELOPE_HEADER_LEN as SNAPSHOT_HEADER_LEN};
+
+    const SNAPSHOT_TRAILER_LEN: usize = 4;
+
+    fn put_state(bytes: &[u8]) -> impl FnOnce(&mut Vec<u8>) -> Result<(), SnapshotError> + '_ {
+        move |out| {
+            out.extend_from_slice(bytes);
+            Ok(())
+        }
+    }
 
     fn sample_blob() -> Vec<u8> {
         let spec = MechanismSpec::reg1_l2(3);
@@ -438,8 +360,8 @@ mod tests {
                 spent_epsilon: 1.0,
                 spent_delta: 1e-6,
                 spec: &spec,
-                state: &[0xAB, 0xCD, 0xEF],
             },
+            put_state(&[0xAB, 0xCD, 0xEF]),
         )
         .unwrap();
         out
@@ -465,7 +387,7 @@ mod tests {
         assert_eq!(d.spent_delta.to_bits(), 1e-6f64.to_bits());
         assert_eq!(d.spec.label(), "priv-inc-reg-1");
         assert_eq!(d.spec.dim(), 3);
-        assert_eq!(d.state, vec![0xAB, 0xCD, 0xEF]);
+        assert_eq!(d.state, [0xAB, 0xCD, 0xEF]);
         // Re-encoding the decoded snapshot reproduces the exact bytes.
         let mut again = Vec::new();
         encode_into(
@@ -480,8 +402,8 @@ mod tests {
                 spent_epsilon: d.spent_epsilon,
                 spent_delta: d.spent_delta,
                 spec: &d.spec,
-                state: &d.state,
             },
+            put_state(d.state),
         )
         .unwrap();
         assert_eq!(again, blob);
@@ -578,7 +500,7 @@ mod tests {
         assert_eq!(d.session_id, 0x1122_3344_5566_7788);
         assert_eq!(d.t_max, 1 << 20);
         assert_eq!(d.t, 17);
-        assert_eq!(d.state, vec![0xAB, 0xCD, 0xEF]);
+        assert_eq!(d.state, [0xAB, 0xCD, 0xEF]);
     }
 
     #[test]
@@ -613,8 +535,8 @@ mod tests {
                 spent_epsilon: 0.0,
                 spent_delta: 0.0,
                 spec: &spec,
-                state: &[],
             },
+            put_state(&[]),
         )
         .unwrap_err();
         assert!(matches!(err, SnapshotError::Unsupported { .. }));

@@ -147,6 +147,7 @@ use crate::ingress::{Command, Reply};
 use crate::session::StreamSession;
 use crate::storage::{StorageFile, StorageHandle};
 use crate::wire::{self, WireError};
+use pir_core::codec::{CodecError, Dec, Enc};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -203,28 +204,177 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 const CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC-32 (IEEE) of `bytes` — the checksum guarding every segment
-/// header, record header, and record payload. Slicing-by-8: the hot
-/// append path checksums every payload, so the byte-serial dependency
-/// chain matters.
+/// header, record header, record payload, snapshot and manifest.
+/// Slicing-by-8: the hot append path checksums every payload, so the
+/// byte-serial dependency chain matters.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ c;
-        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
-        c = CRC_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][(lo >> 24) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][(hi >> 24) as usize];
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in words {
+        let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ c;
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        c = lookup(t7, lo)
+            ^ lookup(t6, lo >> 8)
+            ^ lookup(t5, lo >> 16)
+            ^ lookup(t4, lo >> 24)
+            ^ lookup(t3, hi)
+            ^ lookup(t2, hi >> 8)
+            ^ lookup(t1, hi >> 16)
+            ^ lookup(t0, hi >> 24);
     }
-    for &b in chunks.remainder() {
-        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    for &b in tail {
+        c = lookup(t0, c ^ u32::from(b)) ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+/// `table[byte & 0xFF]`. The masked index is always below 256, so the
+/// `get` never misses and compiles to a plain load.
+#[inline(always)]
+fn lookup(table: &[u32; 256], byte: u32) -> u32 {
+    table.get((byte & 0xFF) as usize).copied().unwrap_or(0)
+}
+
+// ---------------------------------------------------------------------------
+// The checksummed envelope shared by `PIRS` snapshots and `PIRC` manifests
+// ---------------------------------------------------------------------------
+
+/// Envelope header length: magic (4) + version (1) + reserved (3) +
+/// body length (4).
+pub(crate) const ENVELOPE_HEADER_LEN: usize = 12;
+/// Envelope trailer length: the CRC-32 over header and body.
+const ENVELOPE_TRAILER_LEN: usize = 4;
+
+/// Why [`open`] refused an envelope.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum EnvelopeError {
+    /// Shorter than the header, or than the header's declared layout.
+    Truncated {
+        have: usize,
+        need: usize,
+    },
+    BadMagic([u8; 4]),
+    UnsupportedVersion(u8),
+    NonZeroReserved,
+    /// The declared body length exceeds the format's cap.
+    TooLarge {
+        len: u32,
+    },
+    /// Bytes after the checksum.
+    TrailingBytes {
+        extra: usize,
+    },
+    ChecksumMismatch {
+        computed: u32,
+        stored: u32,
+    },
+}
+
+impl std::fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EnvelopeError::Truncated { have, need } => {
+                write!(f, "truncated: have {have} bytes, layout demands {need}")
+            }
+            EnvelopeError::BadMagic(got) => write!(f, "bad magic {got:02x?}"),
+            EnvelopeError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
+            EnvelopeError::NonZeroReserved => write!(f, "reserved header bytes set"),
+            EnvelopeError::TooLarge { len } => write!(f, "body length {len} exceeds the cap"),
+            EnvelopeError::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing bytes after the checksum")
+            }
+            EnvelopeError::ChecksumMismatch { computed, stored } => {
+                write!(f, "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
+            }
+        }
+    }
+}
+
+/// Why [`seal`] refused: the body writer failed, or the body came out
+/// longer than the cap.
+pub(crate) enum SealError<E> {
+    Body(E),
+    TooLarge { len: usize },
+}
+
+/// Append one envelope to `out` — magic, `version`, three zero bytes,
+/// the `u32` body length, the body `body` writes in place, and a CRC-32
+/// over all of it. On error `out` is truncated back to its original
+/// length.
+pub(crate) fn seal<E>(
+    out: &mut Vec<u8>,
+    magic: [u8; 4],
+    version: u8,
+    cap: u32,
+    body: impl FnOnce(&mut Enc<'_>) -> Result<(), E>,
+) -> Result<(), SealError<E>> {
+    let start = out.len();
+    let mut e = Enc::new(out);
+    e.bytes(&magic);
+    e.u8(version);
+    e.bytes(&[0u8; 3]);
+    let len_slot = e.reserve::<4>();
+    let result = body(&mut e).map_err(SealError::Body).and_then(|()| {
+        e.fill_len(len_slot, cap).map_err(|len| SealError::TooLarge { len })?;
+        let crc = crc32(e.written_since(start));
+        e.u32(crc);
+        Ok(())
+    });
+    if result.is_err() {
+        out.truncate(start);
+    }
+    result
+}
+
+/// Validate one envelope that must span all of `bytes`, returning its
+/// version and body. Checks run magic → version (must lie in
+/// `versions`) → reserved bytes → body length against `cap` → length
+/// against the bytes present → CRC, so a flipped byte anywhere is named
+/// before any body field is trusted.
+pub(crate) fn open(
+    bytes: &[u8],
+    magic: [u8; 4],
+    versions: std::ops::RangeInclusive<u8>,
+    cap: u32,
+) -> Result<(u8, &[u8]), EnvelopeError> {
+    let have = bytes.len();
+    let Some((header, rest)) = bytes.split_first_chunk::<ENVELOPE_HEADER_LEN>() else {
+        return Err(EnvelopeError::Truncated { have, need: ENVELOPE_HEADER_LEN });
+    };
+    // Reads within the fixed 12-byte header: none of them can fail.
+    let short = |_| EnvelopeError::Truncated { have, need: ENVELOPE_HEADER_LEN };
+    let mut h = Dec::new(header);
+    let got: [u8; 4] = h.array().map_err(short)?;
+    if got != magic {
+        return Err(EnvelopeError::BadMagic(got));
+    }
+    let version = h.u8().map_err(short)?;
+    if !versions.contains(&version) {
+        return Err(EnvelopeError::UnsupportedVersion(version));
+    }
+    if h.array::<3>().map_err(short)? != [0u8; 3] {
+        return Err(EnvelopeError::NonZeroReserved);
+    }
+    let len = h.u32().map_err(short)?;
+    if len > cap {
+        return Err(EnvelopeError::TooLarge { len });
+    }
+    let need = ENVELOPE_HEADER_LEN + len as usize + ENVELOPE_TRAILER_LEN;
+    if have > need {
+        return Err(EnvelopeError::TrailingBytes { extra: have - need });
+    }
+    let mut d = Dec::new(rest);
+    let (Ok(body), Ok(stored), Some(covered)) =
+        (d.bytes(len as usize), d.u32(), bytes.get(..need - ENVELOPE_TRAILER_LEN))
+    else {
+        return Err(EnvelopeError::Truncated { have, need });
+    };
+    let computed = crc32(covered);
+    if stored != computed {
+        return Err(EnvelopeError::ChecksumMismatch { computed, stored });
+    }
+    Ok((version, body))
 }
 
 // ---------------------------------------------------------------------------
@@ -650,7 +800,6 @@ pub const CHECKPOINT_VERSION: u8 = 1;
 /// Hard cap on a manifest body (256 MiB): a corrupted length field must
 /// not size an allocation.
 pub const MAX_MANIFEST_BODY: u32 = 256 * 1024 * 1024;
-const MANIFEST_HEADER_LEN: usize = 12;
 
 /// The file name of checkpoint generation `generation`.
 pub fn checkpoint_file_name(generation: u32) -> String {
@@ -677,117 +826,79 @@ fn parse_checkpoint_name(name: &str) -> Option<u32> {
 /// (u32 each, sorted by shard), snapshot count (u32) then per snapshot a
 /// u32 length prefix and the `PIRS` blob.
 #[derive(Debug, Clone)]
-pub(crate) struct Manifest {
-    pub(crate) generation: u32,
-    pub(crate) max_epoch: Option<u32>,
-    pub(crate) chains: Vec<ShardChain>,
-    pub(crate) snapshots: Vec<Vec<u8>>,
+struct Manifest {
+    generation: u32,
+    max_epoch: Option<u32>,
+    chains: Vec<ShardChain>,
+    snapshots: Vec<Vec<u8>>,
 }
 
 impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&CHECKPOINT_MAGIC);
-        out.push(CHECKPOINT_VERSION);
-        out.extend_from_slice(&[0u8; 3]);
-        out.extend_from_slice(&[0u8; 4]); // body length, patched below
-        out.extend_from_slice(&self.generation.to_le_bytes());
-        out.push(u8::from(self.max_epoch.is_some()));
-        out.extend_from_slice(&self.max_epoch.unwrap_or(0).to_le_bytes());
+    /// The sealed `PIRC` bytes, or `Err(len)` for a body past
+    /// [`MAX_MANIFEST_BODY`].
+    fn encode(&self) -> Result<Vec<u8>, usize> {
         let mut chains = self.chains.clone();
         chains.sort_by_key(|c| c.shard);
-        out.extend_from_slice(&(chains.len() as u32).to_le_bytes());
-        for c in &chains {
-            out.extend_from_slice(&c.shard.to_le_bytes());
-            out.extend_from_slice(&c.next_seg_seq.to_le_bytes());
-            out.extend_from_slice(&c.next_record_seq.to_le_bytes());
+        let mut out = Vec::new();
+        let sealed = seal(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, MAX_MANIFEST_BODY, |e| {
+            e.u32(self.generation);
+            e.u8(u8::from(self.max_epoch.is_some()));
+            e.u32(self.max_epoch.unwrap_or(0));
+            e.u32(chains.len() as u32);
+            for c in &chains {
+                e.u32(c.shard);
+                e.u32(c.next_seg_seq);
+                e.u32(c.next_record_seq);
+            }
+            e.u32(self.snapshots.len() as u32);
+            for s in &self.snapshots {
+                e.u32_prefixed(s);
+            }
+            Ok::<(), std::convert::Infallible>(())
+        });
+        match sealed {
+            Ok(()) => Ok(out),
+            Err(SealError::TooLarge { len }) => Err(len),
+            Err(SealError::Body(never)) => match never {},
         }
-        out.extend_from_slice(&(self.snapshots.len() as u32).to_le_bytes());
-        for s in &self.snapshots {
-            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            out.extend_from_slice(s);
-        }
-        let body_len = (out.len() - MANIFEST_HEADER_LEN) as u32;
-        out[8..12].copy_from_slice(&body_len.to_le_bytes());
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
     }
 
     /// Strict decode; any lie is a `reason` string the caller wraps in
     /// [`WalError::CorruptManifest`] with the file name attached.
     fn decode(bytes: &[u8]) -> Result<Manifest, String> {
-        if bytes.len() < MANIFEST_HEADER_LEN {
-            return Err(format!("{} bytes is shorter than a manifest header", bytes.len()));
-        }
-        if bytes[0..4] != CHECKPOINT_MAGIC {
-            return Err(format!("bad magic {:02x?}", &bytes[0..4]));
-        }
-        if bytes[4] != CHECKPOINT_VERSION {
-            return Err(format!("unsupported manifest version {}", bytes[4]));
-        }
-        if bytes[5..8] != [0u8; 3] {
-            return Err("reserved header bytes set".to_string());
-        }
-        let body_len = le_u32(bytes, 8);
-        if body_len > MAX_MANIFEST_BODY {
-            return Err(format!("body length {body_len} exceeds the {MAX_MANIFEST_BODY}-byte cap"));
-        }
-        let need = MANIFEST_HEADER_LEN + body_len as usize + 4;
-        if bytes.len() != need {
-            return Err(format!("file is {} bytes, layout demands {need}", bytes.len()));
-        }
-        let crc_at = need - 4;
-        let stored = le_u32(bytes, crc_at);
-        let computed = crc32(&bytes[..crc_at]);
-        if stored != computed {
-            return Err(format!(
-                "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
-            ));
-        }
-
-        let body = &bytes[MANIFEST_HEADER_LEN..crc_at];
-        let mut pos = 0usize;
-        let mut take = |n: usize, what: &str| -> Result<&[u8], String> {
-            if body.len() - pos < n {
-                return Err(format!("body ends inside {what}"));
-            }
-            let s = &body[pos..pos + n];
-            pos += n;
-            Ok(s)
-        };
-        let generation = le_u32(take(4, "generation")?, 0);
-        let has_epoch = take(1, "epoch flag")?[0];
+        let (_, body) = open(
+            bytes,
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION..=CHECKPOINT_VERSION,
+            MAX_MANIFEST_BODY,
+        )
+        .map_err(|e| e.to_string())?;
+        let corrupt = |e: CodecError| format!("body {e}");
+        let mut d = Dec::new(body);
+        let generation = d.u32().map_err(corrupt)?;
+        let has_epoch = d.u8().map_err(corrupt)?;
         if has_epoch > 1 {
             return Err(format!("epoch flag is {has_epoch}, want 0 or 1"));
         }
-        let epoch = le_u32(take(4, "max epoch")?, 0);
+        let epoch = d.u32().map_err(corrupt)?;
         let max_epoch = (has_epoch == 1).then_some(epoch);
-        let chain_count = le_u32(take(4, "chain count")?, 0) as usize;
-        let mut chains = Vec::new();
-        let mut last_shard: Option<u32> = None;
+        let chain_count = d.u32().map_err(corrupt)? as usize;
+        let mut chains: Vec<ShardChain> = Vec::with_capacity(d.capacity(chain_count, 12));
         for _ in 0..chain_count {
-            let c = take(12, "a chain entry")?;
-            let shard = le_u32(c, 0);
-            if last_shard.is_some_and(|p| shard <= p) {
+            let shard = d.u32().map_err(corrupt)?;
+            if chains.last().is_some_and(|p| shard <= p.shard) {
                 return Err(format!("chain for shard {shard} out of order or duplicated"));
             }
-            last_shard = Some(shard);
-            chains.push(ShardChain {
-                shard,
-                next_seg_seq: le_u32(c, 4),
-                next_record_seq: le_u32(c, 8),
-            });
+            let next_seg_seq = d.u32().map_err(corrupt)?;
+            let next_record_seq = d.u32().map_err(corrupt)?;
+            chains.push(ShardChain { shard, next_seg_seq, next_record_seq });
         }
-        let snap_count = le_u32(take(4, "snapshot count")?, 0) as usize;
-        let mut snapshots = Vec::new();
+        let snap_count = d.u32().map_err(corrupt)? as usize;
+        let mut snapshots = Vec::with_capacity(d.capacity(snap_count, 4));
         for _ in 0..snap_count {
-            let len = le_u32(take(4, "a snapshot length")?, 0) as usize;
-            snapshots.push(take(len, "a snapshot blob")?.to_vec());
+            snapshots.push(d.u32_prefixed().map_err(corrupt)?.to_vec());
         }
-        if pos != body.len() {
-            return Err(format!("{} unparsed bytes after the snapshots", body.len() - pos));
-        }
+        d.finish().map_err(corrupt)?;
         Ok(Manifest { generation, max_epoch, chains, snapshots })
     }
 }
@@ -796,10 +907,7 @@ impl Manifest {
 /// Older generations are ignored (they are leftovers the next checkpoint
 /// removes); a corrupt newest manifest is a loud error — segments it
 /// covered may already be purged, so guessing would lose data.
-pub(crate) fn load_manifest(
-    storage: &StorageHandle,
-    dir: &Path,
-) -> Result<Option<Manifest>, WalError> {
+fn load_manifest(storage: &StorageHandle, dir: &Path) -> Result<Option<Manifest>, WalError> {
     if !storage.exists(dir) {
         return Ok(None);
     }
@@ -836,7 +944,7 @@ pub(crate) fn load_manifest(
 /// into place, fsync the directory. A crash at any point leaves either
 /// the previous generation or the new one — never a torn manifest under
 /// the final name.
-pub(crate) fn write_manifest(
+fn write_manifest(
     storage: &StorageHandle,
     dir: &Path,
     manifest: &Manifest,
@@ -844,7 +952,10 @@ pub(crate) fn write_manifest(
     storage.create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
     let final_path = dir.join(checkpoint_file_name(manifest.generation));
     let tmp_path = dir.join(format!("{}.tmp", checkpoint_file_name(manifest.generation)));
-    let bytes = manifest.encode();
+    let bytes = manifest.encode().map_err(|len| WalError::CorruptManifest {
+        file: final_path.display().to_string(),
+        reason: format!("body of {len} bytes exceeds the {MAX_MANIFEST_BODY}-byte cap"),
+    })?;
     let mut file = storage.create(&tmp_path).map_err(|e| io_err(&tmp_path, &e))?;
     file.append(&bytes).map_err(|e| io_err(&tmp_path, &e))?;
     // Always durable, regardless of the engine's fsync policy: segment
@@ -860,7 +971,7 @@ pub(crate) fn write_manifest(
 /// chain's resume point, manifests of older generations, and stale
 /// temporary manifest files. Returns `(segments_purged,
 /// manifests_removed)`.
-pub(crate) fn purge_covered(
+fn purge_covered(
     storage: &StorageHandle,
     dir: &Path,
     manifest: &Manifest,
@@ -894,14 +1005,36 @@ pub(crate) fn purge_covered(
     Ok((segments_purged, manifests_removed))
 }
 
-pub(crate) fn next_generation(current: Option<u32>) -> Result<u32, WalError> {
-    match current {
-        None => Ok(0),
+/// Publish the checkpoint that follows generation `previous`: write a
+/// manifest of `snapshots` and the chain cut points `chains` durably,
+/// then purge everything it covers. The one publisher behind the
+/// quiesced [`checkpoint`] and the live
+/// [`EngineHandle::checkpoint`](crate::EngineHandle::checkpoint); purge
+/// only ever follows a durably written manifest.
+pub(crate) fn publish_checkpoint(
+    storage: &StorageHandle,
+    dir: &Path,
+    previous: Option<u32>,
+    max_epoch: Option<u32>,
+    chains: Vec<ShardChain>,
+    snapshots: Vec<Vec<u8>>,
+) -> Result<CheckpointReport, WalError> {
+    let generation = match previous {
+        None => 0,
         Some(g) => g.checked_add(1).ok_or_else(|| WalError::Io {
             file: String::new(),
             reason: "checkpoint generation overflow".to_string(),
-        }),
-    }
+        })?,
+    };
+    let manifest = Manifest { generation, max_epoch, chains, snapshots };
+    write_manifest(storage, dir, &manifest)?;
+    let (segments_purged, manifests_removed) = purge_covered(storage, dir, &manifest)?;
+    Ok(CheckpointReport {
+        generation,
+        sessions: manifest.snapshots.len(),
+        segments_purged,
+        manifests_removed,
+    })
 }
 
 /// What a checkpoint pass captured and reclaimed.
@@ -953,17 +1086,7 @@ pub fn checkpoint_with_storage(
             reason: format!("session {:#018x}: {e}", session.id()),
         })?);
     }
-    let generation = next_generation(log.manifest_generation)?;
-    let manifest =
-        Manifest { generation, max_epoch: log.max_epoch, chains: log.chains.clone(), snapshots };
-    write_manifest(storage, dir, &manifest)?;
-    let (segments_purged, manifests_removed) = purge_covered(storage, dir, &manifest)?;
-    Ok(CheckpointReport {
-        generation,
-        sessions: manifest.snapshots.len(),
-        segments_purged,
-        manifests_removed,
-    })
+    publish_checkpoint(storage, dir, log.manifest_generation, log.max_epoch, log.chains, snapshots)
 }
 
 // ---------------------------------------------------------------------------
@@ -987,16 +1110,21 @@ pub struct SegmentHeader {
 impl SegmentHeader {
     /// Serialize to the on-disk 28-byte header.
     pub fn to_bytes(&self) -> [u8; SEGMENT_HEADER_LEN] {
-        let mut h = [0u8; SEGMENT_HEADER_LEN];
-        h[0..4].copy_from_slice(&WAL_MAGIC);
-        h[4] = WAL_VERSION;
-        h[8..12].copy_from_slice(&self.epoch.to_le_bytes());
-        h[12..16].copy_from_slice(&self.shard.to_le_bytes());
-        h[16..20].copy_from_slice(&self.seg_seq.to_le_bytes());
-        h[20..24].copy_from_slice(&self.first_record_seq.to_le_bytes());
-        let crc = crc32(&h[0..24]);
-        h[24..28].copy_from_slice(&crc.to_le_bytes());
-        h
+        let mut out = Vec::with_capacity(SEGMENT_HEADER_LEN);
+        let mut e = Enc::new(&mut out);
+        e.bytes(&WAL_MAGIC);
+        e.u8(WAL_VERSION);
+        e.bytes(&[0u8; 3]);
+        e.u32(self.epoch);
+        e.u32(self.shard);
+        e.u32(self.seg_seq);
+        e.u32(self.first_record_seq);
+        let crc = crc32(e.written_since(0));
+        e.u32(crc);
+        // Exactly SEGMENT_HEADER_LEN bytes were written above, so the
+        // zeroed fallback (which would fail the magic check on read) is
+        // never taken.
+        out.first_chunk().copied().unwrap_or([0u8; SEGMENT_HEADER_LEN])
     }
 }
 
@@ -1033,16 +1161,6 @@ pub struct ScannedSegment {
     pub torn_tail: Option<TornInfo>,
 }
 
-fn le_u32(buf: &[u8], at: usize) -> u32 {
-    // Callers bounds-check `at + 4` against the scanned span before
-    // calling; if one ever did not, a zero comes back and the record
-    // fails its length/CRC validation instead of panicking the scan.
-    match buf.get(at..).and_then(|rest| rest.first_chunk::<4>()) {
-        Some(&bytes) => u32::from_le_bytes(bytes),
-        None => 0,
-    }
-}
-
 /// Tolerantly scan one segment: validate the header, decode every
 /// complete record, accept a torn tail, and reject everything else
 /// loudly. See the [module docs](self) for the artifact-vs-corruption
@@ -1071,8 +1189,31 @@ pub(crate) fn scan_segment_on(
         .ok_or_else(|| WalError::UnrecognizedSegment { file: file.clone() })?;
     let buf = storage.read(path).map_err(|e| io_err(path, &e))?;
 
-    // Shorter than a header: the segment's creation itself was torn.
-    if buf.len() < SEGMENT_HEADER_LEN {
+    // Header validation, most specific lie first. Shorter than a
+    // header: the segment's creation itself was torn.
+    let mut h = Dec::new(&buf);
+    let (
+        Ok(magic),
+        Ok(version),
+        Ok(reserved),
+        Ok(epoch),
+        Ok(head_shard),
+        Ok(head_seg_seq),
+        Ok(first_record_seq),
+        covered,
+        Ok(stored_crc),
+    ) = (
+        h.array::<4>(),
+        h.u8(),
+        h.array::<3>(),
+        h.u32(),
+        h.u32(),
+        h.u32(),
+        h.u32(),
+        h.consumed(),
+        h.u32(),
+    )
+    else {
         return Ok(ScannedSegment {
             path: path.to_path_buf(),
             shard,
@@ -1081,23 +1222,20 @@ pub(crate) fn scan_segment_on(
             commands: Vec::new(),
             torn_tail: Some(TornInfo { offset: 0, have: buf.len(), need: SEGMENT_HEADER_LEN }),
         });
+    };
+    if magic != WAL_MAGIC {
+        return Err(WalError::BadMagic { file, got: magic });
     }
-
-    // Header validation, most specific lie first.
-    if buf[0..4] != WAL_MAGIC {
-        return Err(WalError::BadMagic { file, got: [buf[0], buf[1], buf[2], buf[3]] });
+    if version != WAL_VERSION {
+        return Err(WalError::UnsupportedVersion { file, got: version });
     }
-    if buf[4] != WAL_VERSION {
-        return Err(WalError::UnsupportedVersion { file, got: buf[4] });
-    }
-    if buf[5] != 0 || buf[6] != 0 || buf[7] != 0 {
+    if reserved != [0u8; 3] {
         return Err(WalError::CorruptHeader {
             file,
             reason: "reserved header bytes set".to_string(),
         });
     }
-    let stored_crc = le_u32(&buf, 24);
-    let computed = crc32(&buf[0..24]);
+    let computed = crc32(covered);
     if stored_crc != computed {
         return Err(WalError::ChecksumMismatch {
             file,
@@ -1106,12 +1244,8 @@ pub(crate) fn scan_segment_on(
             got: computed,
         });
     }
-    let header = SegmentHeader {
-        epoch: le_u32(&buf, 8),
-        shard: le_u32(&buf, 12),
-        seg_seq: le_u32(&buf, 16),
-        first_record_seq: le_u32(&buf, 20),
-    };
+    let header =
+        SegmentHeader { epoch, shard: head_shard, seg_seq: head_seg_seq, first_record_seq };
     if header.shard != shard || header.seg_seq != seg_seq {
         return Err(WalError::CorruptHeader {
             file,
@@ -1126,24 +1260,21 @@ pub(crate) fn scan_segment_on(
     let mut commands: Vec<Command> = Vec::new();
     let mut torn_tail = None;
     let mut pos = SEGMENT_HEADER_LEN;
-    loop {
-        let remaining = buf.len() - pos;
-        if remaining == 0 {
-            break; // clean end
-        }
-        if remaining < RECORD_HEADER_LEN {
+    let mut rest = h.rest();
+    while !rest.is_empty() {
+        let mut r = Dec::new(rest);
+        let (Ok(len), Ok(seq), head, Ok(stored_head_crc)) =
+            (r.u32(), r.u32(), r.consumed(), r.u32())
+        else {
             torn_tail =
-                Some(TornInfo { offset: pos as u64, have: remaining, need: RECORD_HEADER_LEN });
+                Some(TornInfo { offset: pos as u64, have: rest.len(), need: RECORD_HEADER_LEN });
             break;
-        }
-        let len = le_u32(&buf, pos);
-        let seq = le_u32(&buf, pos + 4);
-        let stored_head_crc = le_u32(&buf, pos + 8);
-        let computed_head_crc = crc32(&buf[pos..pos + 8]);
+        };
         // The record-header CRC comes first: a complete 12-byte header
         // was written in one piece, so a mismatch is corruption — and
         // without this check a flipped length field could fake a torn
         // tail and silently swallow every record behind it.
+        let computed_head_crc = crc32(head);
         if stored_head_crc != computed_head_crc {
             return Err(WalError::ChecksumMismatch {
                 file,
@@ -1160,12 +1291,10 @@ pub(crate) fn scan_segment_on(
             return Err(WalError::OutOfOrder { file, expected: expected_seq, got: seq });
         }
         let need = RECORD_HEADER_LEN + len as usize + 4;
-        if remaining < need {
-            torn_tail = Some(TornInfo { offset: pos as u64, have: remaining, need });
+        let (Ok(payload), Ok(stored_payload_crc)) = (r.bytes(len as usize), r.u32()) else {
+            torn_tail = Some(TornInfo { offset: pos as u64, have: rest.len(), need });
             break;
-        }
-        let payload = &buf[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + len as usize];
-        let stored_payload_crc = le_u32(&buf, pos + RECORD_HEADER_LEN + len as usize);
+        };
         let computed_payload_crc = crc32(payload);
         if stored_payload_crc != computed_payload_crc {
             return Err(WalError::ChecksumMismatch {
@@ -1182,6 +1311,7 @@ pub(crate) fn scan_segment_on(
         })?;
         commands.push(cmd);
         pos += need;
+        rest = r.rest();
     }
 
     Ok(ScannedSegment {
@@ -1601,6 +1731,8 @@ pub struct WalWriter {
     /// drained by [`take_retries`](Self::take_retries).
     retries: u64,
     scratch: Vec<u8>,
+    /// Per-record lengths of the batch in `scratch`, reused likewise.
+    record_lens: Vec<usize>,
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -1660,6 +1792,7 @@ impl WalWriter {
             poisoned: false,
             retries: 0,
             scratch: Vec::new(),
+            record_lens: Vec::new(),
         })
     }
 
@@ -1713,30 +1846,22 @@ impl WalWriter {
     /// [`WalError::Wire`] for unencodable commands (custom set
     /// factories), or I/O failures (which poison the writer).
     pub fn append(&mut self, cmd: &Command) -> Result<(), WalError> {
-        if self.poisoned {
-            return Err(WalError::Poisoned { file: self.path.display().to_string() });
-        }
-        let frame = wire::encode_command(cmd).map_err(|error| WalError::Wire {
-            file: self.path.display().to_string(),
-            offset: self.written,
-            error,
-        })?;
-        self.append_frame(&frame)
+        self.append_batch(std::slice::from_ref(cmd))
     }
 
     /// Append many commands as consecutive records, coalescing the
     /// writes: records are staged in memory and hit the file with one
-    /// syscall per segment stretch, rotating exactly where the
-    /// one-at-a-time path would. All-or-nothing on encoding — a single
+    /// syscall per segment stretch, rotating exactly where appending the
+    /// commands one by one would. All-or-nothing on encoding — a single
     /// unencodable command leaves the log untouched. An I/O failure
     /// mid-batch poisons the writer (the staged prefix the kernel took
     /// is a recoverable tail) and the **whole batch** must be treated as
     /// not logged, hence not executed.
     ///
-    /// Under [`FsyncPolicy::PerRecord`] this degrades to per-record
-    /// writes (coalescing would void the policy's guarantee). Under
-    /// [`FsyncPolicy::Interval`] the durability check runs once at batch
-    /// end, so the sync lag can transiently exceed `every` within a
+    /// Under [`FsyncPolicy::PerRecord`] each record is written and
+    /// synced on its own (coalescing would void the policy's guarantee).
+    /// Under [`FsyncPolicy::Interval`] the durability check runs once at
+    /// batch end, so the sync lag can transiently exceed `every` within a
     /// batch — never across batches.
     ///
     /// # Errors
@@ -1745,27 +1870,9 @@ impl WalWriter {
         if self.poisoned {
             return Err(WalError::Poisoned { file: self.path.display().to_string() });
         }
-        if self.options.fsync == FsyncPolicy::PerRecord {
-            // Per-record durability forbids coalescing. Encode every
-            // frame first so the all-or-nothing contract still holds.
-            let mut frames = Vec::with_capacity(cmds.len());
-            for cmd in cmds {
-                frames.push(wire::encode_command(cmd).map_err(|error| WalError::Wire {
-                    file: self.path.display().to_string(),
-                    offset: self.written,
-                    error,
-                })?);
-            }
-            for frame in &frames {
-                self.append_frame(frame)?;
-            }
-            return Ok(());
-        }
-
         // Pass 1 — pure staging, no I/O: every record is built straight
-        // in the reusable staging buffer (frames encoded in place via
-        // `encode_command_into`, headers backfilled). Any failure here
-        // leaves both the log and the writer untouched.
+        // in the reusable staging buffer. Any failure here leaves both
+        // the log and the writer untouched.
         if u32::try_from(cmds.len())
             .ok()
             .and_then(|n| self.next_record_seq.checked_add(n))
@@ -1776,61 +1883,80 @@ impl WalWriter {
                 reason: "record sequence overflow".to_string(),
             });
         }
-        let mut pending = std::mem::take(&mut self.scratch);
-        pending.clear();
-        let mut record_lens: Vec<usize> = Vec::with_capacity(cmds.len());
-        for (i, cmd) in cmds.iter().enumerate() {
-            let seq = self.next_record_seq + i as u32;
-            let rec_start = pending.len();
-            pending.resize(rec_start + RECORD_HEADER_LEN, 0);
-            if let Err(error) = wire::encode_command_into(&mut pending, cmd) {
-                pending.clear();
-                self.scratch = pending;
-                return Err(WalError::Wire {
-                    file: self.path.display().to_string(),
-                    offset: self.written,
-                    error,
-                });
+        let mut staged = std::mem::take(&mut self.scratch);
+        let mut record_lens = std::mem::take(&mut self.record_lens);
+        staged.clear();
+        record_lens.clear();
+        let mut outcome = Ok(());
+        for (seq, cmd) in (self.next_record_seq..).zip(cmds) {
+            match put_record(&mut staged, seq, cmd) {
+                Ok(len) => record_lens.push(len),
+                Err(error) => {
+                    let file = self.path.display().to_string();
+                    outcome = Err(WalError::Wire { file, offset: self.written, error });
+                    break;
+                }
             }
-            let frame_len = pending.len() - rec_start - RECORD_HEADER_LEN;
-            pending[rec_start..rec_start + 4].copy_from_slice(&(frame_len as u32).to_le_bytes());
-            pending[rec_start + 4..rec_start + 8].copy_from_slice(&seq.to_le_bytes());
-            let head_crc = crc32(&pending[rec_start..rec_start + 8]);
-            pending[rec_start + 8..rec_start + 12].copy_from_slice(&head_crc.to_le_bytes());
-            let payload_crc = crc32(&pending[rec_start + RECORD_HEADER_LEN..]);
-            pending.extend_from_slice(&payload_crc.to_le_bytes());
-            record_lens.push(RECORD_OVERHEAD + frame_len);
         }
+        // Pass 2 — emit.
+        if outcome.is_ok() {
+            outcome = self.emit(&staged, &record_lens);
+        }
+        self.scratch = staged;
+        self.record_lens = record_lens;
+        outcome
+    }
 
-        // Pass 2 — emit: one `write` per contiguous segment stretch,
-        // rotating exactly where the one-at-a-time path would.
-        let mut flushed = 0usize;
-        let mut cursor = 0usize;
-        for &len in &record_lens {
+    /// Write staged records (`record_lens` gives each one's length):
+    /// one `write` per contiguous segment stretch — one per record, each
+    /// followed by its fsync, under [`FsyncPolicy::PerRecord`] — rotating
+    /// to a fresh segment before any record that would overflow the
+    /// current one.
+    fn emit(&mut self, staged: &[u8], record_lens: &[usize]) -> Result<(), WalError> {
+        let per_record = self.options.fsync == FsyncPolicy::PerRecord;
+        let mut unwritten = staged;
+        let mut stretch = 0usize;
+        for &len in record_lens {
             let record_len = len as u64;
             if self.records_in_segment > 0 && self.written + record_len > self.options.segment_bytes
             {
-                self.write_stretch(&pending[flushed..cursor])?;
-                flushed = cursor;
+                unwritten = self.write_front(unwritten, stretch)?;
+                stretch = 0;
                 self.rotate()?;
             }
-            cursor += len;
+            stretch += len;
             self.next_record_seq += 1;
             self.written += record_len;
             self.appended_bytes += record_len;
             self.records_in_segment += 1;
-            if let FsyncPolicy::Interval { .. } = self.options.fsync {
+            if per_record {
+                unwritten = self.write_front(unwritten, stretch)?;
+                stretch = 0;
+                self.sync()?;
+            } else if let FsyncPolicy::Interval { .. } = self.options.fsync {
                 self.appends_since_sync += 1;
             }
         }
-        self.write_stretch(&pending[flushed..cursor])?;
-        self.scratch = pending;
+        self.write_front(unwritten, stretch)?;
         if let FsyncPolicy::Interval { every } = self.options.fsync {
             if self.appends_since_sync >= every {
                 self.sync()?;
             }
         }
         Ok(())
+    }
+
+    /// Write the first `n` bytes of `bytes` as one stretch and return
+    /// the rest.
+    fn write_front<'b>(&mut self, bytes: &'b [u8], n: usize) -> Result<&'b [u8], WalError> {
+        let Some((front, rest)) = bytes.split_at_checked(n) else {
+            return Err(WalError::Io {
+                file: self.path.display().to_string(),
+                reason: format!("staged {} bytes, record lengths claim {n}", bytes.len()),
+            });
+        };
+        self.write_stretch(front)?;
+        Ok(rest)
     }
 
     /// Write one staged stretch to the current segment in one piece,
@@ -1870,51 +1996,6 @@ impl WalWriter {
                 }
             }
         }
-    }
-
-    /// Wrap one pre-encoded wire frame in a record and write it.
-    fn append_frame(&mut self, frame: &[u8]) -> Result<(), WalError> {
-        let record_len = (RECORD_OVERHEAD + frame.len()) as u64;
-        if self.records_in_segment > 0 && self.written + record_len > self.options.segment_bytes {
-            self.rotate()?;
-        }
-        let seq = self.next_record_seq;
-        self.next_record_seq = self.next_record_seq.checked_add(1).ok_or_else(|| WalError::Io {
-            file: self.path.display().to_string(),
-            reason: "record sequence overflow".to_string(),
-        })?;
-
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        self.scratch.extend_from_slice(&seq.to_le_bytes());
-        let head_crc = crc32(&self.scratch[0..8]);
-        self.scratch.extend_from_slice(&head_crc.to_le_bytes());
-        self.scratch.extend_from_slice(frame);
-        let payload_crc = crc32(frame);
-        self.scratch.extend_from_slice(&payload_crc.to_le_bytes());
-
-        let record = std::mem::take(&mut self.scratch);
-        let outcome = self.write_stretch(&record);
-        self.scratch = record;
-        if let Err(e) = outcome {
-            self.next_record_seq = seq;
-            return Err(e);
-        }
-        self.written += record_len;
-        self.appended_bytes += record_len;
-        self.records_in_segment += 1;
-
-        match self.options.fsync {
-            FsyncPolicy::PerRecord => self.sync()?,
-            FsyncPolicy::Interval { every } => {
-                self.appends_since_sync += 1;
-                if self.appends_since_sync >= every {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Off => {}
-        }
-        Ok(())
     }
 
     /// Force the current segment to stable storage (`fdatasync`)
@@ -2009,6 +2090,31 @@ impl WalWriter {
     }
 }
 
+/// Append one record — payload length, sequence, header CRC, `cmd`'s
+/// wire frame (encoded in place), payload CRC — to `out` and return its
+/// length. The one record builder behind every append path. On error
+/// `out` is left exactly as it was.
+fn put_record(out: &mut Vec<u8>, seq: u32, cmd: &Command) -> Result<usize, WireError> {
+    let start = out.len();
+    let mut e = Enc::new(out);
+    let len_slot = e.reserve::<4>();
+    e.u32(seq);
+    let head_crc_slot = e.reserve::<4>();
+    let frame_start = e.position();
+    if let Err(error) = wire::encode_command_into(e.out(), cmd) {
+        out.truncate(start);
+        return Err(error);
+    }
+    let frame_len = e.position() - frame_start;
+    // A wire frame never exceeds MAX_RECORD_PAYLOAD, so this fits a u32.
+    e.fill_u32(len_slot, frame_len as u32);
+    let head_crc = crc32(e.written_since(start).get(..8).unwrap_or_default());
+    e.fill_u32(head_crc_slot, head_crc);
+    let payload_crc = crc32(e.written_since(frame_start));
+    e.u32(payload_crc);
+    Ok(RECORD_OVERHEAD + frame_len)
+}
+
 /// Create and header-stamp one segment file, returning the open handle
 /// and its path. Used for the writer's first segment and every
 /// rotation.
@@ -2074,6 +2180,6 @@ mod tests {
         let bytes = h.to_bytes();
         assert_eq!(&bytes[0..4], b"PIRL");
         assert_eq!(bytes[4], WAL_VERSION);
-        assert_eq!(le_u32(&bytes, 24), crc32(&bytes[0..24]));
+        assert_eq!(bytes[24..28], crc32(&bytes[0..24]).to_le_bytes());
     }
 }

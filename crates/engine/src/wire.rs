@@ -26,6 +26,7 @@
 use crate::error::EngineError;
 use crate::ingress::{Command, Reply};
 use crate::spec::{LossSpec, MechanismSpec, SetSpec, SolverSpec};
+use pir_core::codec::{CodecError, Dec, Enc};
 use pir_core::{DescentStrategy, PrivIncReg1Config, PrivIncReg2Config, TauRule};
 use pir_dp::PrivacyParams;
 use pir_erm::DataPoint;
@@ -136,115 +137,38 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Primitive encoders / decoders
-// ---------------------------------------------------------------------------
-
-/// Payload byte builder over a caller-owned buffer, so frames can be
-/// encoded in place — straight into a batch or log staging buffer —
-/// without an intermediate allocation per frame.
-struct Enc<'a> {
-    buf: &'a mut Vec<u8>,
-}
-
-impl Enc<'_> {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-/// Strict payload cursor.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let Some(s) = self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) else {
-            return Err(WireError::Truncated {
-                expected: self.pos.saturating_add(n),
-                got: self.buf.len(),
-            });
-        };
-        self.pos += n;
-        Ok(s)
-    }
-
-    /// Fixed-size [`take`](Self::take): the array form makes the
-    /// byte-order conversions below infallible.
-    fn take_arr<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let Some(&arr) = self.buf.get(self.pos..).and_then(|rest| rest.first_chunk::<N>()) else {
-            return Err(WireError::Truncated {
-                expected: self.pos.saturating_add(N),
-                got: self.buf.len(),
-            });
-        };
-        self.pos += N;
-        Ok(arr)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.take_arr()?;
-        Ok(b)
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take_arr()?))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take_arr()?))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take_arr()?))
-    }
-    fn usize(&mut self) -> Result<usize, WireError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| WireError::Malformed(format!("{v} overflows usize")))
-    }
-    fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| WireError::Malformed("string is not UTF-8".to_string()))
-    }
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(WireError::Malformed(format!("boolean byte must be 0/1, got {b}"))),
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { need, have } => {
+                WireError::Truncated { expected: need, got: have }
+            }
+            CodecError::TrailingBytes { extra } => WireError::TrailingBytes { extra },
+            CodecError::CountTooLarge { .. } => WireError::Malformed(e.to_string()),
         }
     }
+}
 
-    /// Pre-allocation capacity for a claimed element count: never more
-    /// than the remaining payload could encode at `min_elem_size` bytes
-    /// per element, so an untrusted count cannot allocate past the frame
-    /// cap (the decode itself still errors `Truncated` on the shortfall).
-    fn capacity(&self, claimed: usize, min_elem_size: usize) -> usize {
-        claimed.min((self.buf.len() - self.pos) / min_elem_size.max(1))
-    }
+// ---------------------------------------------------------------------------
+// Wire-only primitives (the cursor pair is `pir_core::codec`)
+// ---------------------------------------------------------------------------
 
-    fn finish(self) -> Result<(), WireError> {
-        if self.pos < self.buf.len() {
-            return Err(WireError::TrailingBytes { extra: self.buf.len() - self.pos });
-        }
-        Ok(())
+fn dec_usize(d: &mut Dec) -> Result<usize, WireError> {
+    let v = d.u64()?;
+    usize::try_from(v).map_err(|_| WireError::Malformed(format!("{v} overflows usize")))
+}
+
+fn dec_str(d: &mut Dec) -> Result<String, WireError> {
+    let bytes = d.u32_prefixed()?;
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| WireError::Malformed("string is not UTF-8".to_string()))
+}
+
+fn dec_bool(d: &mut Dec) -> Result<bool, WireError> {
+    match d.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(WireError::Malformed(format!("boolean byte must be 0/1, got {b}"))),
     }
 }
 
@@ -254,9 +178,7 @@ impl<'a> Dec<'a> {
 
 fn enc_point(e: &mut Enc<'_>, p: &DataPoint) {
     e.u32(p.x.len() as u32);
-    for v in &p.x {
-        e.f64(*v);
-    }
+    e.f64s(&p.x);
     e.f64(p.y);
 }
 
@@ -313,7 +235,7 @@ fn enc_set(e: &mut Enc<'_>, s: &SetSpec) -> Result<(), WireError> {
 
 fn dec_set(d: &mut Dec) -> Result<SetSpec, WireError> {
     let tag = d.u8()?;
-    let dim = d.usize()?;
+    let dim = dec_usize(d)?;
     let scalar = d.f64()?;
     Ok(match tag {
         0 => SetSpec::L2Ball { dim, radius: scalar },
@@ -364,9 +286,9 @@ fn enc_solver(e: &mut Enc<'_>, s: &SolverSpec) {
 
 fn dec_solver(d: &mut Dec) -> Result<SolverSpec, WireError> {
     Ok(match d.u8()? {
-        0 => SolverSpec::NoisyGd { iters: d.usize()?, beta: d.f64()? },
-        1 => SolverSpec::OutputPerturbation { exact_iters: d.usize()? },
-        2 => SolverSpec::FrankWolfe { iters: d.usize()? },
+        0 => SolverSpec::NoisyGd { iters: dec_usize(d)?, beta: d.f64()? },
+        1 => SolverSpec::OutputPerturbation { exact_iters: dec_usize(d)? },
+        2 => SolverSpec::FrankWolfe { iters: dec_usize(d)? },
         t => return Err(WireError::Malformed(format!("unknown SolverSpec tag {t}"))),
     })
 }
@@ -385,7 +307,7 @@ fn enc_tau(e: &mut Enc<'_>, t: &TauRule) {
 
 fn dec_tau(d: &mut Dec) -> Result<TauRule, WireError> {
     Ok(match d.u8()? {
-        0 => TauRule::Fixed(d.usize()?),
+        0 => TauRule::Fixed(dec_usize(d)?),
         1 => TauRule::Convex,
         2 => TauRule::StronglyConvex,
         3 => TauRule::LowWidth,
@@ -418,8 +340,8 @@ fn enc_reg1(e: &mut Enc<'_>, c: &PrivIncReg1Config) {
 fn dec_reg1(d: &mut Dec) -> Result<PrivIncReg1Config, WireError> {
     Ok(PrivIncReg1Config {
         beta: d.f64()?,
-        max_pgd_iters: d.usize()?,
-        warm_start: d.bool()?,
+        max_pgd_iters: dec_usize(d)?,
+        warm_start: dec_bool(d)?,
         strategy: dec_strategy(d)?,
     })
 }
@@ -448,15 +370,15 @@ fn enc_reg2(e: &mut Enc<'_>, c: &PrivIncReg2Config) {
 
 fn dec_reg2(d: &mut Dec) -> Result<PrivIncReg2Config, WireError> {
     let beta = d.f64()?;
-    let gamma = if d.bool()? { Some(d.f64()?) } else { None };
-    let m_override = if d.bool()? { Some(d.usize()?) } else { None };
+    let gamma = if dec_bool(d)? { Some(d.f64()?) } else { None };
+    let m_override = if dec_bool(d)? { Some(dec_usize(d)?) } else { None };
     Ok(PrivIncReg2Config {
         beta,
         gamma,
         m_override,
         gordon_constant: d.f64()?,
-        max_pgd_iters: d.usize()?,
-        lift_iters: d.usize()?,
+        max_pgd_iters: dec_usize(d)?,
+        lift_iters: dec_usize(d)?,
         strategy: dec_strategy(d)?,
     })
 }
@@ -531,13 +453,13 @@ fn enc_engine_error(e: &mut Enc<'_>, err: &EngineError) {
     e.u64(b);
     e.u64(c);
     e.u64(dd);
-    e.str(msg);
+    e.u32_prefixed(msg.as_bytes());
 }
 
 fn dec_engine_error(d: &mut Dec) -> Result<EngineError, WireError> {
     let kind = d.u8()?;
     let (a, b, c, dd) = (d.u64()?, d.u64()?, d.u64()?, d.u64()?);
-    let msg = d.str()?;
+    let msg = dec_str(d)?;
     Ok(match kind {
         1 => EngineError::UnknownSession { id: a },
         2 => EngineError::DuplicateSession { id: a },
@@ -573,8 +495,7 @@ fn dec_engine_error(d: &mut Dec) -> Result<EngineError, WireError> {
 /// [`WireError::Unencodable`] for specs carrying custom set factories.
 pub(crate) fn encode_spec_into(out: &mut Vec<u8>, spec: &MechanismSpec) -> Result<(), WireError> {
     let start = out.len();
-    let mut e = Enc { buf: out };
-    let result = enc_spec(&mut e, spec);
+    let result = enc_spec(&mut Enc::new(out), spec);
     if result.is_err() {
         out.truncate(start);
     }
@@ -604,31 +525,20 @@ fn build_frame(
     body: impl FnOnce(&mut Enc<'_>) -> Result<u8, WireError>,
 ) -> Result<(), WireError> {
     let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(0); // opcode, backfilled below
-    out.extend_from_slice(&0u16.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes()); // length, backfilled below
-    let payload_start = out.len();
-    let encoded = {
-        let mut e = Enc { buf: &mut *out };
-        body(&mut e)
-    };
-    let result = encoded.and_then(|op| {
-        let len = out.len() - payload_start;
-        if len as u64 > u64::from(MAX_PAYLOAD) {
-            return Err(WireError::FrameTooLarge { len: len as u32 });
+    let mut e = Enc::new(out);
+    e.bytes(&MAGIC);
+    e.u8(VERSION);
+    let op_slot = e.reserve::<1>();
+    e.u16(0); // reserved
+    let len_slot = e.reserve::<4>();
+    let result = body(&mut e).and_then(|op| {
+        e.fill(op_slot, [op]);
+        match e.fill_len(len_slot, MAX_PAYLOAD) {
+            Ok(_) => Ok(()),
+            Err(len) => {
+                Err(WireError::FrameTooLarge { len: u32::try_from(len).unwrap_or(u32::MAX) })
+            }
         }
-        // Backfill opcode and length into the header written above.
-        // `get_mut` misses are impossible (the header bytes were pushed
-        // at `start` in this very function) but degrade to a truncation
-        // error rather than a panic.
-        let truncated = WireError::Truncated { expected: start + HEADER_LEN, got: out.len() };
-        let Some(op_slot) = out.get_mut(start + 5) else { return Err(truncated) };
-        *op_slot = op;
-        let Some(len_slot) = out.get_mut(start + 8..start + 12) else { return Err(truncated) };
-        len_slot.copy_from_slice(&(len as u32).to_le_bytes());
-        Ok(())
     });
     if result.is_err() {
         out.truncate(start);
@@ -638,20 +548,22 @@ fn build_frame(
 
 /// Parse a frame header, returning `(opcode, payload length)`.
 fn parse_header(h: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
-    // Irrefutable array destructuring: every field access is infallible.
-    let [m0, m1, m2, m3, version, op, r0, r1, l0, l1, l2, l3] = *h;
-    let magic = [m0, m1, m2, m3];
+    // Reads within a fixed 12-byte array: none of them can fail.
+    let mut d = Dec::new(h);
+    let magic: [u8; 4] = d.array()?;
     if magic != MAGIC {
         return Err(WireError::BadMagic(magic));
     }
+    let version = d.u8()?;
     if version != VERSION {
         return Err(WireError::UnsupportedVersion(version));
     }
-    let reserved = u16::from_le_bytes([r0, r1]);
+    let op = d.u8()?;
+    let reserved = d.u16()?;
     if reserved != 0 {
         return Err(WireError::NonZeroReserved(reserved));
     }
-    let len = u32::from_le_bytes([l0, l1, l2, l3]);
+    let len = d.u32()?;
     if len > MAX_PAYLOAD {
         return Err(WireError::FrameTooLarge { len });
     }
@@ -746,9 +658,7 @@ pub fn encode_reply_into(out: &mut Vec<u8>, reply: &Reply) -> Result<(), WireErr
                 e.u32(thetas.len() as u32);
                 for theta in thetas {
                     e.u32(theta.len() as u32);
-                    for v in theta {
-                        e.f64(*v);
-                    }
+                    e.f64s(theta);
                 }
                 opcode::R_RELEASES
             }
@@ -798,7 +708,7 @@ fn decode_command_payload(op: u8, payload: &[u8]) -> Result<Command, WireError> 
     let cmd = match op {
         opcode::OPEN => {
             let session_id = d.u64()?;
-            let t_max = d.usize()?;
+            let t_max = dec_usize(&mut d)?;
             let params = dec_params(&mut d)?;
             let spec = dec_spec(&mut d)?;
             Command::Open { session_id, spec, t_max, params }

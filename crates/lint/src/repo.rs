@@ -23,8 +23,9 @@ use std::path::Path;
 use crate::baseline::{self, Baseline, BaselineError};
 use crate::rules::{durability, hygiene, panic_free, protocol, storage_layer, zero_alloc, Finding};
 
-/// R1 scope: files that run on shard-worker / connection threads.
-pub const R1_FILES: [&str; 9] = [
+/// R1 scope: files that run on shard-worker / connection threads, and
+/// the byte codec every one of their formats is read and written with.
+pub const R1_FILES: [&str; 10] = [
     "crates/engine/src/ingress.rs",
     "crates/engine/src/shard.rs",
     "crates/engine/src/wire.rs",
@@ -34,6 +35,7 @@ pub const R1_FILES: [&str; 9] = [
     "crates/engine/src/snapshot.rs",
     "crates/engine/src/session.rs",
     "crates/engine/src/storage.rs",
+    "crates/core/src/codec.rs",
 ];
 
 /// R2 scope: crates whose `*_into` kernels must not allocate. `dp` is
@@ -240,5 +242,14 @@ mod tests {
         let shard = "crates/engine/src/shard.rs";
         assert!(files.iter().any(|f| f == shard), "{files:?}");
         assert!(R1_FILES.contains(&shard) && R6_FILES.contains(&shard));
+    }
+
+    #[test]
+    fn the_shared_byte_codec_is_panic_free_checked() {
+        // Every wire, WAL, snapshot and manifest byte goes through the
+        // pir-core cursor pair, so it is under R1 like its callers.
+        let codec = "crates/core/src/codec.rs";
+        assert!(workspace_root().join(codec).is_file());
+        assert!(R1_FILES.contains(&codec));
     }
 }
