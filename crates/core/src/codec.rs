@@ -1,35 +1,25 @@
 //! The workspace's one byte codec: a little-endian [`Enc`]/[`Dec`]
 //! cursor pair, plus the mechanism dynamic-state layout built on it.
 //!
-//! Every byte format in the repo — wire frames, WAL segments and
-//! records, `PIRS` snapshots, `PIRC` manifests, and the mechanism state
-//! blobs below — is written with [`Enc`] and read with [`Dec`]:
-//!
-//! - integers are little-endian; `f64` travels as its IEEE-754 bit
-//!   pattern, so round-trips are bit-exact (NaN payloads included);
-//! - [`Enc`] appends to a caller-owned `Vec<u8>`, so a frame can be
-//!   encoded in place into a batch or staging buffer, with length
-//!   fields reserved up front and backfilled ([`Enc::reserve`],
-//!   [`Enc::fill_len`]);
-//! - [`Dec`] is a strict cursor: every read is range-checked with
-//!   `get`/`first_chunk` (no indexing, no panics), counts are bounded
-//!   against the bytes that remain before anything is sized from them,
-//!   and [`Dec::finish`] rejects trailing bytes. Failures are one small
-//!   [`CodecError`] that each layer maps into its own typed error.
+//! Wire frames, WAL segments and records, `PIRS` snapshots, `PIRC`
+//! manifests and mechanism state blobs are all written with [`Enc`]
+//! (appends to a caller-owned buffer; length fields are reserved and
+//! backfilled in place) and read with [`Dec`] (a strict cursor: reads
+//! are range-checked with `get`/`first_chunk`, counts are checked
+//! against the bytes left before anything is allocated from them, and
+//! [`Dec::finish`] rejects trailing bytes). Integers are little-endian;
+//! an `f64` is its IEEE-754 bit pattern, so round-trips are bit-exact.
 //!
 //! # Mechanism state
 //!
 //! A mechanism's *dynamic* state — step counter, tree partial sums,
 //! warm-start iterates, noise-generator words — is what a session
-//! snapshot must carry; everything static (constraint set, horizon,
-//! privacy calibration, sketch matrix) is reproduced by re-running the
-//! constructor with the same seed. The blob starts with a one-byte
-//! mechanism tag (`TAG_*`) so a state captured from one mechanism family
-//! can never be absorbed by another: the engine's snapshot layer
-//! respawns a mechanism from its spec and then feeds it the blob, and the
-//! tag check is the last line of defense if the two ever disagree.
-//! Vectors are a `u64` count then the `f64` bit patterns; a tree is
-//! written by [`put_tree`].
+//! snapshot carries; everything static (constraint set, horizon,
+//! calibration, sketch matrix) is reproduced by re-running the
+//! constructor with the same seed. The blob opens with a one-byte
+//! mechanism tag (`TAG_*`), so state captured from one mechanism family
+//! is never absorbed by another. Vectors are a `u64` count then the
+//! `f64`s; trees are written by [`put_tree`].
 
 use crate::error::CoreError;
 use pir_continual::TreeState;
@@ -46,19 +36,13 @@ pub const TAG_EXACT: u8 = 4;
 /// Why a [`Dec`] read failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
-    /// The buffer ended inside a value.
+    /// The buffer ends before the value does (or a count claims more
+    /// items than the remaining bytes hold).
     Truncated {
         /// Total bytes the read needed, counted from the buffer start.
         need: usize,
         /// Bytes the buffer holds.
         have: usize,
-    },
-    /// A count claims more items than the remaining bytes can encode.
-    CountTooLarge {
-        /// The claimed count.
-        count: u64,
-        /// Bytes remaining after the count field.
-        remaining: usize,
     },
     /// Bytes were left over after a complete value.
     TrailingBytes {
@@ -72,9 +56,6 @@ impl std::fmt::Display for CodecError {
         match self {
             CodecError::Truncated { need, have } => {
                 write!(f, "truncated: needed {need} bytes, have {have}")
-            }
-            CodecError::CountTooLarge { count, remaining } => {
-                write!(f, "count {count} exceeds the {remaining} byte(s) remaining")
             }
             CodecError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing byte(s) after a complete value")
@@ -91,9 +72,8 @@ impl From<CodecError> for CoreError {
     }
 }
 
-/// A reserved `N`-byte field in an [`Enc`] buffer, to be backfilled once
-/// its value is known (a length, an opcode). Only [`Enc::reserve`] makes
-/// one.
+/// A reserved `N`-byte field of an [`Enc`] buffer, to be backfilled once
+/// its value is known.
 #[derive(Debug)]
 #[must_use = "a reserved field must be filled"]
 pub struct Slot<const N: usize> {
@@ -114,21 +94,16 @@ impl<'a> Enc<'a> {
     }
 
     /// Current length of the underlying buffer.
-    #[inline]
     pub fn position(&self) -> usize {
         self.buf.len()
     }
 
-    /// The underlying buffer, for writers that append through a
-    /// `&mut Vec<u8>` of their own (e.g. a mechanism's `save_state`).
-    #[inline]
+    /// The underlying buffer, for writers that take a `&mut Vec<u8>`.
     pub fn out(&mut self) -> &mut Vec<u8> {
         self.buf
     }
 
-    /// The bytes written from `start` on (empty if `start` is past the
-    /// end).
-    #[inline]
+    /// The bytes written from `start` on.
     pub fn written_since(&self, start: usize) -> &[u8] {
         self.buf.get(start..).unwrap_or_default()
     }
@@ -163,7 +138,7 @@ impl<'a> Enc<'a> {
         self.bytes(&v.to_le_bytes());
     }
 
-    /// Append one `f64` as its IEEE-754 bit pattern.
+    /// Append an `f64` bit pattern.
     #[inline]
     pub fn f64(&mut self, v: f64) {
         self.bytes(&v.to_bits().to_le_bytes());
@@ -177,15 +152,14 @@ impl<'a> Enc<'a> {
         }
     }
 
-    /// Append a `u64` count, then the `f64`s (the state-blob vector
-    /// layout).
+    /// Append a `u64` count, then the `f64`s.
     pub fn f64_slice(&mut self, v: &[f64]) {
         self.u64(v.len() as u64);
         self.f64s(v);
     }
 
-    /// Append a `u32` byte length, then the bytes. The caller bounds the
-    /// length (every format using this caps its blobs far below 4 GiB).
+    /// Append a `u32` byte length, then the bytes. Every format using
+    /// this caps its blobs far below 4 GiB.
     pub fn u32_prefixed(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.bytes(v);
@@ -199,12 +173,11 @@ impl<'a> Enc<'a> {
         Slot { at }
     }
 
-    /// Backfill a reserved field. A slot the caller has since truncated
-    /// away is skipped: the bytes it described are gone with it.
+    /// Backfill a reserved field (a slot the caller has since truncated
+    /// away is skipped: the bytes it described are gone with it).
     #[inline]
     pub fn fill<const N: usize>(&mut self, slot: Slot<N>, v: [u8; N]) {
-        if let Some(dst) = self.buf.get_mut(slot.at..).and_then(|rest| rest.first_chunk_mut::<N>())
-        {
+        if let Some(dst) = self.buf.get_mut(slot.at..).and_then(|rest| rest.first_chunk_mut()) {
             *dst = v;
         }
     }
@@ -216,17 +189,12 @@ impl<'a> Enc<'a> {
     }
 
     /// Backfill a reserved `u32` field with the number of bytes written
-    /// after it. A length over `cap` is returned as `Err(len)` and
-    /// nothing is written.
+    /// after it; a length over `cap` is returned as `Err(len)`.
     pub fn fill_len(&mut self, slot: Slot<4>, cap: u32) -> Result<u32, usize> {
         let len = self.buf.len().saturating_sub(slot.at + 4);
-        match u32::try_from(len) {
-            Ok(n) if n <= cap => {
-                self.fill_u32(slot, n);
-                Ok(n)
-            }
-            _ => Err(len),
-        }
+        let n = u32::try_from(len).ok().filter(|&n| n <= cap).ok_or(len)?;
+        self.fill_u32(slot, n);
+        Ok(n)
     }
 }
 
@@ -244,20 +212,7 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
-    /// Bytes consumed so far.
-    #[inline]
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes not yet consumed.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
     /// The bytes consumed so far.
-    #[inline]
     pub fn consumed(&self) -> &'a [u8] {
         self.buf.get(..self.pos).unwrap_or_default()
     }
@@ -268,7 +223,6 @@ impl<'a> Dec<'a> {
         self.buf.get(self.pos..).unwrap_or_default()
     }
 
-    #[inline]
     fn truncated(&self, n: usize) -> CodecError {
         CodecError::Truncated { need: self.pos.saturating_add(n), have: self.buf.len() }
     }
@@ -276,9 +230,7 @@ impl<'a> Dec<'a> {
     /// Take the next `n` bytes.
     #[inline]
     pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let Some(s) = self.buf.get(self.pos..).and_then(|rest| rest.get(..n)) else {
-            return Err(self.truncated(n));
-        };
+        let s = self.rest().get(..n).ok_or_else(|| self.truncated(n))?;
         self.pos += n;
         Ok(s)
     }
@@ -286,9 +238,7 @@ impl<'a> Dec<'a> {
     /// Take the next `N` bytes as an array.
     #[inline]
     pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        let Some(&arr) = self.buf.get(self.pos..).and_then(|rest| rest.first_chunk::<N>()) else {
-            return Err(self.truncated(N));
-        };
+        let &arr = self.rest().first_chunk().ok_or_else(|| self.truncated(N))?;
         self.pos += N;
         Ok(arr)
     }
@@ -318,10 +268,24 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    /// Read one `f64` bit pattern.
+    /// Read an `f64` bit pattern.
     #[inline]
     pub fn f64(&mut self) -> Result<f64, CodecError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Read `n` `f64`s stored back to back. The bytes are checked before
+    /// the vector is allocated.
+    #[inline]
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
+        let raw = self.bytes(n.checked_mul(8).ok_or_else(|| self.truncated(usize::MAX))?)?;
+        Ok(raw.as_chunks().0.iter().map(|&w| f64::from_bits(u64::from_le_bytes(w))).collect())
+    }
+
+    /// Read a `u64` count, then that many `f64`s.
+    pub fn f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
+        let n = self.count(8)?;
+        self.f64s(n)
     }
 
     /// Read a `u32` byte length, then that many bytes.
@@ -330,50 +294,36 @@ impl<'a> Dec<'a> {
         self.bytes(n)
     }
 
-    /// Read a `u64` count of items at least `min_size` bytes each, and
-    /// refuse it unless that many items fit in the bytes that remain — a
-    /// forged count can never size an oversized allocation.
-    pub fn count(&mut self, min_size: usize) -> Result<usize, CodecError> {
+    /// Read a `u64` count of items of at least `min_size` bytes each,
+    /// refused unless that many fit in the bytes left.
+    fn count(&mut self, min_size: usize) -> Result<usize, CodecError> {
         let count = self.u64()?;
-        let remaining = self.remaining();
-        match usize::try_from(count) {
-            Ok(n) if n <= remaining / min_size.max(1) => Ok(n),
-            _ => Err(CodecError::CountTooLarge { count, remaining }),
+        let need = usize::try_from(count).unwrap_or(usize::MAX).saturating_mul(min_size);
+        if need > self.rest().len() {
+            return Err(self.truncated(need));
         }
+        Ok(count as usize)
     }
 
-    /// Read a `u64` count, then that many `f64`s (the state-blob vector
-    /// layout).
-    pub fn f64_vec(&mut self) -> Result<Vec<f64>, CodecError> {
-        let n = self.count(8)?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(self.f64()?);
-        }
-        Ok(v)
-    }
-
-    /// Pre-allocation capacity for an unchecked `claimed` count: never
-    /// more than the remaining bytes could encode at `min_size` bytes per
-    /// item, so an untrusted count cannot allocate past the buffer (the
-    /// reads themselves still fail `Truncated` on the shortfall).
+    /// Pre-allocation capacity for an unchecked `claimed` count: at most
+    /// what the remaining bytes could hold at `min_size` bytes per item.
     #[inline]
     pub fn capacity(&self, claimed: usize, min_size: usize) -> usize {
-        claimed.min(self.remaining() / min_size.max(1))
+        claimed.min(self.rest().len() / min_size.max(1))
     }
 
     /// Require every byte to have been consumed.
     pub fn finish(self) -> Result<(), CodecError> {
-        match self.remaining() {
+        match self.rest().len() {
             0 => Ok(()),
             extra => Err(CodecError::TrailingBytes { extra }),
         }
     }
 }
 
-/// Append a captured [`TreeState`]: step counter, the four generator
-/// words, then the `a` rows and `b` rows (each a `u64` level count and
-/// that many vectors), and the maintained release.
+/// Append a [`TreeState`]: step counter, the four generator words, the
+/// `a` rows and `b` rows (each a `u64` level count and that many
+/// vectors), and the maintained release.
 pub fn put_tree(e: &mut Enc<'_>, tree: &TreeState) {
     e.u64(tree.t as u64);
     for w in tree.rng {
@@ -389,8 +339,8 @@ pub fn put_tree(e: &mut Enc<'_>, tree: &TreeState) {
 }
 
 /// Read a [`TreeState`] written by [`put_tree`]. Shape agreement with a
-/// concrete mechanism is *not* checked here — that is
-/// [`pir_continual::TreeMechanism::restore_state`]'s job.
+/// concrete mechanism is [`pir_continual::TreeMechanism::restore_state`]'s
+/// job.
 pub fn take_tree(d: &mut Dec<'_>) -> Result<TreeState, CodecError> {
     let t = d.u64()? as usize;
     let mut rng = [0u64; 4];
@@ -407,7 +357,7 @@ pub fn take_tree(d: &mut Dec<'_>) -> Result<TreeState, CodecError> {
     Ok(TreeState { t, a, b, s, rng })
 }
 
-/// Read the leading mechanism tag of a state blob and check it is `tag`.
+/// Read a state blob's leading mechanism tag and check it is `tag`.
 ///
 /// # Errors
 /// [`CoreError::InvalidState`] on truncation or a foreign tag.
@@ -468,7 +418,9 @@ mod tests {
         let mut buf = Vec::new();
         Enc::new(&mut buf).u64(u64::MAX); // claimed element count
         let mut d = Dec::new(&buf);
-        assert!(matches!(d.f64_vec(), Err(CodecError::CountTooLarge { .. })));
+        assert!(matches!(d.f64_vec(), Err(CodecError::Truncated { .. })));
+        let mut d = Dec::new(&buf);
+        assert!(matches!(d.f64s(usize::MAX), Err(CodecError::Truncated { .. })));
         assert_eq!(Dec::new(&buf).capacity(usize::MAX, 8), 1);
     }
 

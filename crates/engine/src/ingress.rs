@@ -704,11 +704,6 @@ impl SubmitHandle {
         shard_of(session_id, self.lanes.len())
     }
 
-    #[inline]
-    fn lane(&self, shard: usize) -> Result<&Lane, EngineError> {
-        shard_slot(&self.lanes, shard)
-    }
-
     /// Try to reserve `cost` points of queue space on `shard`.
     ///
     /// On failure the `depth` carried by [`EngineError::Backpressure`] is
@@ -724,7 +719,7 @@ impl SubmitHandle {
         if cost > self.capacity {
             return Err(EngineError::CommandTooLarge { shard, cost, capacity: self.capacity });
         }
-        let depth = &self.lane(shard)?.depth;
+        let depth = &shard_slot(&self.lanes, shard)?.depth;
         depth
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |cur| {
                 (cur + cost <= self.capacity).then_some(cur + cost)
@@ -753,7 +748,9 @@ impl SubmitHandle {
     /// instead of a spin.
     fn ride_flush_barrier(&self, shard: usize) -> Result<(), EngineError> {
         let (tx, rx) = mpsc::channel();
-        if self.lane(shard)?.tx.send(Job::Flush { ack: tx }).is_err() || rx.recv().is_err() {
+        if shard_slot(&self.lanes, shard)?.tx.send(Job::Flush { ack: tx }).is_err()
+            || rx.recv().is_err()
+        {
             return Err(EngineError::Closed);
         }
         std::thread::yield_now();
@@ -810,7 +807,7 @@ impl SubmitHandle {
             return Ok(Ticket::resolved(Reply::Closed));
         };
         let shard = self.shard_index(session_id);
-        let lane = match self.lane(shard) {
+        let lane = match shard_slot(&self.lanes, shard) {
             Ok(lane) => lane,
             Err(e) => return Err((cmd, e)),
         };
@@ -823,11 +820,11 @@ impl SubmitHandle {
         // sees the entry (and skips the victim) or has not received the
         // job yet — in which case its arrival restores the session
         // in-band. Incrementing after the send would reopen the window.
-        if let Some(spill) = &self.spill {
-            if let Err(e) = spill.pending_add(shard, [session_id]) {
-                lane.depth.fetch_sub(cost, Ordering::SeqCst);
-                return Err((cmd, e));
-            }
+        if let Some(Err(e)) =
+            self.spill.as_ref().map(|spill| spill.pending_add(shard, [session_id]))
+        {
+            lane.depth.fetch_sub(cost, Ordering::SeqCst);
+            return Err((cmd, e));
         }
         let (reply_tx, reply_rx) = mpsc::channel();
         match lane.tx.send(Job::Cmd { cmd, cost, reply: reply_tx }) {
@@ -955,14 +952,14 @@ impl SubmitHandle {
             // Same pre-send publication as `try_submit`: every session
             // this slice touches is pinned resident until its run
             // executes.
-            let admitted = self.lane(shard).and_then(|lane| {
+            let admitted = shard_slot(&self.lanes, shard).and_then(|lane| {
                 self.reserve_blocking(shard, cost)?;
-                if let Some(spill) = &self.spill {
-                    let published = spill.pending_add(shard, runs.iter().map(|r| r.0));
-                    if published.is_err() {
-                        lane.depth.fetch_sub(cost, Ordering::SeqCst);
-                    }
-                    published?;
+                let sids = runs.iter().map(|r| r.0);
+                if let Some(Err(e)) =
+                    self.spill.as_ref().map(|spill| spill.pending_add(shard, sids))
+                {
+                    lane.depth.fetch_sub(cost, Ordering::SeqCst);
+                    return Err(e);
                 }
                 Ok(lane)
             });

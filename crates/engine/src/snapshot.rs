@@ -61,9 +61,9 @@
 //! verify the engine seed for them.
 
 use crate::spec::MechanismSpec;
-use crate::wal::{open, seal, EnvelopeError, SealError};
+use crate::wal::{open, seal, EnvelopeError};
 use crate::wire;
-use pir_core::codec::{CodecError, Dec};
+use pir_core::codec::{CodecError, Dec, Enc};
 
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PIRS";
@@ -261,7 +261,7 @@ pub(crate) fn encode_into(
 ) -> Result<(), SnapshotError> {
     let too_large =
         |len: usize| SnapshotError::BodyTooLarge { len: u32::try_from(len).unwrap_or(u32::MAX) };
-    let sealed = seal(out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY, |e| {
+    let body = |e: &mut Enc<'_>| {
         e.u64(body.session_id);
         e.u64(body.seed_fingerprint);
         e.u64(body.t_max);
@@ -271,18 +271,15 @@ pub(crate) fn encode_into(
         e.f64(body.spent_epsilon);
         e.f64(body.spent_delta);
         let spec_len = e.reserve::<4>();
-        wire::encode_spec_into(e.out(), body.spec)
+        wire::enc_spec(e, body.spec)
             .map_err(|err| SnapshotError::Unsupported { reason: err.to_string() })?;
         e.fill_len(spec_len, MAX_SNAPSHOT_BODY).map_err(too_large)?;
         let state_len = e.reserve::<4>();
         state(e.out())?;
         e.fill_len(state_len, MAX_SNAPSHOT_BODY).map_err(too_large)?;
         Ok(())
-    });
-    sealed.map_err(|err| match err {
-        SealError::Body(err) => err,
-        SealError::TooLarge { len } => too_large(len),
-    })
+    };
+    seal(out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY, body, too_large)
 }
 
 /// Decode a complete snapshot blob, validating everything.
@@ -295,9 +292,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedSnapshot<'_>, SnapshotError>
                 EnvelopeError::UnsupportedVersion(got) => SnapshotError::UnsupportedVersion { got },
                 EnvelopeError::NonZeroReserved => SnapshotError::NonZeroReserved,
                 EnvelopeError::TooLarge { len } => SnapshotError::BodyTooLarge { len },
-                EnvelopeError::TrailingBytes { .. } => {
-                    SnapshotError::Malformed { reason: err.to_string() }
-                }
+                EnvelopeError::TrailingBytes { extra } => SnapshotError::Malformed {
+                    reason: format!("{extra} trailing bytes after the checksum"),
+                },
                 EnvelopeError::ChecksumMismatch { computed, stored } => {
                     SnapshotError::ChecksumMismatch { expected: computed, got: stored }
                 }

@@ -271,36 +271,10 @@ pub(crate) enum EnvelopeError {
     },
 }
 
-impl std::fmt::Display for EnvelopeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EnvelopeError::Truncated { have, need } => {
-                write!(f, "truncated: have {have} bytes, layout demands {need}")
-            }
-            EnvelopeError::BadMagic(got) => write!(f, "bad magic {got:02x?}"),
-            EnvelopeError::UnsupportedVersion(v) => write!(f, "unsupported version {v}"),
-            EnvelopeError::NonZeroReserved => write!(f, "reserved header bytes set"),
-            EnvelopeError::TooLarge { len } => write!(f, "body length {len} exceeds the cap"),
-            EnvelopeError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after the checksum")
-            }
-            EnvelopeError::ChecksumMismatch { computed, stored } => {
-                write!(f, "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
-            }
-        }
-    }
-}
-
-/// Why [`seal`] refused: the body writer failed, or the body came out
-/// longer than the cap.
-pub(crate) enum SealError<E> {
-    Body(E),
-    TooLarge { len: usize },
-}
-
 /// Append one envelope to `out` — magic, `version`, three zero bytes,
 /// the `u32` body length, the body `body` writes in place, and a CRC-32
-/// over all of it. On error `out` is truncated back to its original
+/// over all of it. A body longer than `cap` fails with
+/// `too_large(len)`. On error `out` is truncated back to its original
 /// length.
 pub(crate) fn seal<E>(
     out: &mut Vec<u8>,
@@ -308,15 +282,16 @@ pub(crate) fn seal<E>(
     version: u8,
     cap: u32,
     body: impl FnOnce(&mut Enc<'_>) -> Result<(), E>,
-) -> Result<(), SealError<E>> {
+    too_large: impl FnOnce(usize) -> E,
+) -> Result<(), E> {
     let start = out.len();
     let mut e = Enc::new(out);
     e.bytes(&magic);
     e.u8(version);
     e.bytes(&[0u8; 3]);
     let len_slot = e.reserve::<4>();
-    let result = body(&mut e).map_err(SealError::Body).and_then(|()| {
-        e.fill_len(len_slot, cap).map_err(|len| SealError::TooLarge { len })?;
+    let result = body(&mut e).and_then(|()| {
+        e.fill_len(len_slot, cap).map_err(too_large)?;
         let crc = crc32(e.written_since(start));
         e.u32(crc);
         Ok(())
@@ -339,24 +314,21 @@ pub(crate) fn open(
     cap: u32,
 ) -> Result<(u8, &[u8]), EnvelopeError> {
     let have = bytes.len();
-    let Some((header, rest)) = bytes.split_first_chunk::<ENVELOPE_HEADER_LEN>() else {
+    let mut d = Dec::new(bytes);
+    let (Ok(got), Ok(version), Ok(reserved), Ok(len)) =
+        (d.array::<4>(), d.u8(), d.array::<3>(), d.u32())
+    else {
         return Err(EnvelopeError::Truncated { have, need: ENVELOPE_HEADER_LEN });
     };
-    // Reads within the fixed 12-byte header: none of them can fail.
-    let short = |_| EnvelopeError::Truncated { have, need: ENVELOPE_HEADER_LEN };
-    let mut h = Dec::new(header);
-    let got: [u8; 4] = h.array().map_err(short)?;
     if got != magic {
         return Err(EnvelopeError::BadMagic(got));
     }
-    let version = h.u8().map_err(short)?;
     if !versions.contains(&version) {
         return Err(EnvelopeError::UnsupportedVersion(version));
     }
-    if h.array::<3>().map_err(short)? != [0u8; 3] {
+    if reserved != [0u8; 3] {
         return Err(EnvelopeError::NonZeroReserved);
     }
-    let len = h.u32().map_err(short)?;
     if len > cap {
         return Err(EnvelopeError::TooLarge { len });
     }
@@ -364,10 +336,7 @@ pub(crate) fn open(
     if have > need {
         return Err(EnvelopeError::TrailingBytes { extra: have - need });
     }
-    let mut d = Dec::new(rest);
-    let (Ok(body), Ok(stored), Some(covered)) =
-        (d.bytes(len as usize), d.u32(), bytes.get(..need - ENVELOPE_TRAILER_LEN))
-    else {
+    let (Ok(body), covered, Ok(stored)) = (d.bytes(len as usize), d.consumed(), d.u32()) else {
         return Err(EnvelopeError::Truncated { have, need });
     };
     let computed = crc32(covered);
@@ -840,7 +809,7 @@ impl Manifest {
         let mut chains = self.chains.clone();
         chains.sort_by_key(|c| c.shard);
         let mut out = Vec::new();
-        let sealed = seal(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, MAX_MANIFEST_BODY, |e| {
+        let body = |e: &mut Enc<'_>| {
             e.u32(self.generation);
             e.u8(u8::from(self.max_epoch.is_some()));
             e.u32(self.max_epoch.unwrap_or(0));
@@ -854,13 +823,10 @@ impl Manifest {
             for s in &self.snapshots {
                 e.u32_prefixed(s);
             }
-            Ok::<(), std::convert::Infallible>(())
-        });
-        match sealed {
-            Ok(()) => Ok(out),
-            Err(SealError::TooLarge { len }) => Err(len),
-            Err(SealError::Body(never)) => match never {},
-        }
+            Ok(())
+        };
+        seal(&mut out, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, MAX_MANIFEST_BODY, body, |len| len)?;
+        Ok(out)
     }
 
     /// Strict decode; any lie is a `reason` string the caller wraps in
@@ -872,7 +838,7 @@ impl Manifest {
             CHECKPOINT_VERSION..=CHECKPOINT_VERSION,
             MAX_MANIFEST_BODY,
         )
-        .map_err(|e| e.to_string())?;
+        .map_err(|e| format!("{e:?}"))?;
         let corrupt = |e: CodecError| format!("body {e}");
         let mut d = Dec::new(body);
         let generation = d.u32().map_err(corrupt)?;
@@ -1192,28 +1158,13 @@ pub(crate) fn scan_segment_on(
     // Header validation, most specific lie first. Shorter than a
     // header: the segment's creation itself was torn.
     let mut h = Dec::new(&buf);
-    let (
-        Ok(magic),
-        Ok(version),
-        Ok(reserved),
-        Ok(epoch),
-        Ok(head_shard),
-        Ok(head_seg_seq),
-        Ok(first_record_seq),
-        covered,
-        Ok(stored_crc),
-    ) = (
-        h.array::<4>(),
-        h.u8(),
-        h.array::<3>(),
-        h.u32(),
-        h.u32(),
-        h.u32(),
-        h.u32(),
-        h.consumed(),
-        h.u32(),
-    )
-    else {
+    let fields = (|| {
+        let (magic, version, reserved) = (h.array::<4>()?, h.u8()?, h.array::<3>()?);
+        let (epoch, shard, seg_seq, first_record_seq) = (h.u32()?, h.u32()?, h.u32()?, h.u32()?);
+        let header = SegmentHeader { epoch, shard, seg_seq, first_record_seq };
+        Ok::<_, CodecError>((magic, version, reserved, header, h.consumed(), h.u32()?))
+    })();
+    let Ok((magic, version, reserved, header, covered, stored_crc)) = fields else {
         return Ok(ScannedSegment {
             path: path.to_path_buf(),
             shard,
@@ -1244,8 +1195,6 @@ pub(crate) fn scan_segment_on(
             got: computed,
         });
     }
-    let header =
-        SegmentHeader { epoch, shard: head_shard, seg_seq: head_seg_seq, first_record_seq };
     if header.shard != shard || header.seg_seq != seg_seq {
         return Err(WalError::CorruptHeader {
             file,
@@ -1911,52 +1860,39 @@ impl WalWriter {
     /// one `write` per contiguous segment stretch — one per record, each
     /// followed by its fsync, under [`FsyncPolicy::PerRecord`] — rotating
     /// to a fresh segment before any record that would overflow the
-    /// current one.
+    /// current one. `record_lens` partitions `staged` exactly, so every
+    /// stretch range is in bounds.
     fn emit(&mut self, staged: &[u8], record_lens: &[usize]) -> Result<(), WalError> {
         let per_record = self.options.fsync == FsyncPolicy::PerRecord;
-        let mut unwritten = staged;
-        let mut stretch = 0usize;
+        let (mut flushed, mut cursor) = (0usize, 0usize);
         for &len in record_lens {
             let record_len = len as u64;
             if self.records_in_segment > 0 && self.written + record_len > self.options.segment_bytes
             {
-                unwritten = self.write_front(unwritten, stretch)?;
-                stretch = 0;
+                self.write_stretch(staged.get(flushed..cursor).unwrap_or_default())?;
+                flushed = cursor;
                 self.rotate()?;
             }
-            stretch += len;
+            cursor += len;
             self.next_record_seq += 1;
             self.written += record_len;
             self.appended_bytes += record_len;
             self.records_in_segment += 1;
             if per_record {
-                unwritten = self.write_front(unwritten, stretch)?;
-                stretch = 0;
+                self.write_stretch(staged.get(flushed..cursor).unwrap_or_default())?;
+                flushed = cursor;
                 self.sync()?;
             } else if let FsyncPolicy::Interval { .. } = self.options.fsync {
                 self.appends_since_sync += 1;
             }
         }
-        self.write_front(unwritten, stretch)?;
+        self.write_stretch(staged.get(flushed..cursor).unwrap_or_default())?;
         if let FsyncPolicy::Interval { every } = self.options.fsync {
             if self.appends_since_sync >= every {
                 self.sync()?;
             }
         }
         Ok(())
-    }
-
-    /// Write the first `n` bytes of `bytes` as one stretch and return
-    /// the rest.
-    fn write_front<'b>(&mut self, bytes: &'b [u8], n: usize) -> Result<&'b [u8], WalError> {
-        let Some((front, rest)) = bytes.split_at_checked(n) else {
-            return Err(WalError::Io {
-                file: self.path.display().to_string(),
-                reason: format!("staged {} bytes, record lengths claim {n}", bytes.len()),
-            });
-        };
-        self.write_stretch(front)?;
-        Ok(rest)
     }
 
     /// Write one staged stretch to the current segment in one piece,
@@ -2156,6 +2092,26 @@ mod tests {
         // The canonical check vector for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_slicing_by_8_matches_the_bitwise_definition() {
+        fn bitwise(bytes: &[u8]) -> u32 {
+            let mut c = 0xFFFF_FFFFu32;
+            for &b in bytes {
+                c ^= u32::from(b);
+                for _ in 0..8 {
+                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                }
+            }
+            c ^ 0xFFFF_FFFF
+        }
+        // Every length through several whole words plus each tail size.
+        let bytes: Vec<u8> =
+            (0..67u32).map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8).collect();
+        for n in 0..=bytes.len() {
+            assert_eq!(crc32(&bytes[..n]), bitwise(&bytes[..n]), "length {n}");
+        }
     }
 
     #[test]

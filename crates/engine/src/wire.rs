@@ -144,7 +144,6 @@ impl From<CodecError> for WireError {
                 WireError::Truncated { expected: need, got: have }
             }
             CodecError::TrailingBytes { extra } => WireError::TrailingBytes { extra },
-            CodecError::CountTooLarge { .. } => WireError::Malformed(e.to_string()),
         }
     }
 }
@@ -184,10 +183,7 @@ fn enc_point(e: &mut Enc<'_>, p: &DataPoint) {
 
 fn dec_point(d: &mut Dec) -> Result<DataPoint, WireError> {
     let dim = d.u32()? as usize;
-    let mut x = Vec::with_capacity(d.capacity(dim, 8));
-    for _ in 0..dim {
-        x.push(d.f64()?);
-    }
+    let x = d.f64s(dim)?;
     let y = d.f64()?;
     Ok(DataPoint::new(x, y))
 }
@@ -383,7 +379,12 @@ fn dec_reg2(d: &mut Dec) -> Result<PrivIncReg2Config, WireError> {
     })
 }
 
-fn enc_spec(e: &mut Enc<'_>, spec: &MechanismSpec) -> Result<(), WireError> {
+/// Append a [`MechanismSpec`] in its wire encoding (no frame) — shared
+/// with the snapshot codec, so a spec has exactly one byte layout.
+///
+/// # Errors
+/// [`WireError::Unencodable`] for specs carrying custom set factories.
+pub(crate) fn enc_spec(e: &mut Enc<'_>, spec: &MechanismSpec) -> Result<(), WireError> {
     match spec {
         MechanismSpec::Erm { set, loss, solver, tau } => {
             e.u8(0);
@@ -487,23 +488,8 @@ fn dec_engine_error(d: &mut Dec) -> Result<EngineError, WireError> {
 // Shared codec surface (crate-internal)
 // ---------------------------------------------------------------------------
 
-/// Append a [`MechanismSpec`] in its wire encoding (no frame) — shared
-/// with the snapshot codec so a spec has exactly one byte layout in the
-/// repo.
-///
-/// # Errors
-/// [`WireError::Unencodable`] for specs carrying custom set factories.
-pub(crate) fn encode_spec_into(out: &mut Vec<u8>, spec: &MechanismSpec) -> Result<(), WireError> {
-    let start = out.len();
-    let result = enc_spec(&mut Enc::new(out), spec);
-    if result.is_err() {
-        out.truncate(start);
-    }
-    result
-}
-
 /// Decode a [`MechanismSpec`] from exactly `bytes` (trailing bytes are an
-/// error) — the inverse of [`encode_spec_into`].
+/// error) — the inverse of [`enc_spec`].
 pub(crate) fn decode_spec_exact(bytes: &[u8]) -> Result<MechanismSpec, WireError> {
     let mut d = Dec::new(bytes);
     let spec = dec_spec(&mut d)?;
@@ -742,11 +728,7 @@ fn decode_reply_payload(op: u8, payload: &[u8]) -> Result<Reply, WireError> {
             let mut thetas = Vec::with_capacity(d.capacity(n, 4));
             for _ in 0..n {
                 let dim = d.u32()? as usize;
-                let mut theta = Vec::with_capacity(d.capacity(dim, 8));
-                for _ in 0..dim {
-                    theta.push(d.f64()?);
-                }
-                thetas.push(theta);
+                thetas.push(d.f64s(dim)?);
             }
             Reply::Releases { session_id, thetas }
         }

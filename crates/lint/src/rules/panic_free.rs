@@ -2,7 +2,8 @@
 //!
 //! The engine's serving files (`ingress`, `shard`, `wire`, `server`,
 //! `tcp`, `wal`, `snapshot`, `session`, `storage`) run on shard-worker
-//! and connection threads. A panic there kills a worker: every session
+//! and connection threads, and read and write every byte through the
+//! shared codec (`pir_core::codec`), which is in scope with them. A panic there kills a worker: every session
 //! on the shard stalls, queued commands are dropped, and the engine
 //! degrades to `EngineError::Closed` for traffic that was perfectly
 //! healthy. The contract is that these files report failures
