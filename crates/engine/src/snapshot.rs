@@ -261,7 +261,7 @@ pub(crate) fn encode_into(
 ) -> Result<(), SnapshotError> {
     let too_large =
         |len: usize| SnapshotError::BodyTooLarge { len: u32::try_from(len).unwrap_or(u32::MAX) };
-    let body = |e: &mut Enc<'_>| {
+    let write_body = |e: &mut Enc<'_>| {
         e.u64(body.session_id);
         e.u64(body.seed_fingerprint);
         e.u64(body.t_max);
@@ -279,7 +279,7 @@ pub(crate) fn encode_into(
         e.fill_len(state_len, MAX_SNAPSHOT_BODY).map_err(too_large)?;
         Ok(())
     };
-    seal(out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY, body, too_large)
+    seal(out, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY, write_body, too_large)
 }
 
 /// Decode a complete snapshot blob, validating everything.

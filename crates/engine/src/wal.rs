@@ -787,9 +787,9 @@ fn parse_checkpoint_name(name: &str) -> Option<u32> {
 /// A decoded checkpoint manifest: where each shard's log was cut, and
 /// every session alive at the cut as a `PIRS` snapshot blob.
 ///
-/// On-disk layout mirrors the snapshot format: a 12-byte header (magic
-/// `PIRC`, version, 3 reserved zero bytes, body length LE u32), the
-/// body, and a trailing CRC-32 over header + body. Body, in order:
+/// On disk it is the snapshot format's envelope ([`seal`]/[`open`]): a
+/// 12-byte header (magic `PIRC`, version, 3 reserved zero bytes, body
+/// length LE u32), the body, and a CRC-32 over header + body. Body:
 /// generation (u32), epoch-present flag (u8) + max epoch (u32), chain
 /// count (u32) then per chain `shard, next_seg_seq, next_record_seq`
 /// (u32 each, sorted by shard), snapshot count (u32) then per snapshot a
