@@ -13,7 +13,10 @@
 //! single-item change of the stream.
 //!
 //! Only the `O(log T)` *active* partial sums are retained, so memory is
-//! `O(d log T)` — the property Remark §1.1 highlights.
+//! `O(d log T)` — the property Remark §1.1 highlights. Of those, only the
+//! `popcount(t)` levels whose bit is set in `t` are non-zero at any time:
+//! a level is zeroed in place when the level above consumes it. A
+//! captured [`TreeState`] therefore carries just those live rows.
 //!
 //! The release `s_t` is additionally maintained *incrementally*: when the
 //! node at level `i` completes at time `t`, the prefix decomposition of
@@ -24,7 +27,8 @@
 //! walks those retiring levels, so keeping `s_t` current is amortized
 //! `O(d)` per step and [`TreeMechanism::query`] is a plain copy instead of
 //! an `O(d · popcount(t))` re-summation. The re-summation survives as
-//! [`TreeMechanism::release_resummed`], the debug/test reference.
+//! the test module's reference (and, coordinate-wise, as a debug-build
+//! assertion on every update).
 
 use crate::error::ContinualError;
 use crate::Result;
@@ -75,23 +79,37 @@ pub struct TreeMechanism {
 ///
 /// Everything *not* here — dimension, horizon, `σ`, norm bound,
 /// sensitivity — is static configuration reproduced by re-running the
-/// constructor, so a snapshot only needs the `O(d log T)` partial sums,
-/// the step counter, and the 256-bit noise-generator state. A mechanism
-/// that absorbs a captured state continues its noise stream and release
-/// sequence bit-identically (the law `tests` pin below and the engine's
-/// snapshot suites pin end-to-end).
+/// constructor, so a snapshot only needs the live partial sums, the step
+/// counter, and the 256-bit noise-generator state. Row `j` of `a` and `b`
+/// is exactly `+0.0` unless bit `j` of `t` is set, so only those
+/// `popcount(t)` levels are carried, and the live set is read off `t`
+/// itself: there is no level mask to keep consistent with it. A
+/// mechanism that absorbs a captured state continues its noise stream
+/// and release sequence bit-identically (the law `tests` pin below and
+/// the engine's snapshot suites pin end-to-end).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeState {
     /// Items consumed so far (`t`).
     pub t: usize,
-    /// Clean partial sums `a_j`, one row per level (each of length `d`).
-    pub a: Vec<Vec<f64>>,
-    /// Noisy partial sums `b_j`, same shape as `a`.
-    pub b: Vec<Vec<f64>>,
+    /// The live levels: for each set bit `j` of `t`, ascending, the clean
+    /// partial sum `a_j` then the noisy one `b_j`, each of length `d` —
+    /// `2 · popcount(t) · d` values in all.
+    pub live: Vec<f64>,
     /// Incrementally maintained release `s_t` (length `d`).
     pub s: Vec<f64>,
     /// xoshiro256++ state of the node-noise generator.
     pub rng: [u64; 4],
+}
+
+/// Whether level `j` is in the prefix decomposition of `t` (bit `j` set).
+fn is_live(t: usize, j: usize) -> bool {
+    t.checked_shr(j as u32).is_some_and(|bits| bits & 1 == 1)
+}
+
+/// The levels in the prefix decomposition of `t` (its set bits),
+/// ascending.
+fn live_levels(t: usize) -> impl Iterator<Item = usize> {
+    (0..usize::BITS as usize).filter(move |&j| is_live(t, j))
 }
 
 /// `⌈log₂ T⌉ + 1`, the number of tree levels (and the maximum number of
@@ -473,14 +491,12 @@ impl TreeMechanism {
     /// sums of the `popcount(t)` levels in the prefix decomposition of `t`.
     /// Kept as the `O(d · popcount(t))` reference that the maintained
     /// release is checked against (debug builds assert agreement on every
-    /// update; `tests/incremental_release.rs` pins it property-style).
-    pub fn release_resummed(&self) -> Vec<f64> {
+    /// update; the incremental-release proptests below pin it).
+    #[cfg(test)]
+    fn release_resummed(&self) -> Vec<f64> {
         let mut s = vec![0.0; self.dim];
-        let t = self.t;
-        for j in 0..self.levels {
-            if t & (1 << j) != 0 {
-                vector::axpy(1.0, &self.b[j], &mut s);
-            }
+        for j in live_levels(self.t) {
+            vector::axpy(1.0, &self.b[j], &mut s);
         }
         s
     }
@@ -507,45 +523,36 @@ impl TreeMechanism {
         2 * self.levels * self.dim + self.dim
     }
 
-    /// Capture the dynamic state (step counter, partial sums, maintained
-    /// release, noise-generator state) for serialization. Pair with
+    /// Capture the dynamic state (step counter, live partial sums,
+    /// maintained release, noise-generator state) for serialization —
+    /// `O(d · popcount(t))`, not `O(d log T)`. Pair with
     /// [`restore_state`](TreeMechanism::restore_state).
     pub fn export_state(&self) -> TreeState {
-        TreeState {
-            t: self.t,
-            a: self.a.clone(),
-            b: self.b.clone(),
-            s: self.s.clone(),
-            rng: self.rng.state(),
+        let mut live = Vec::with_capacity(2 * self.t.count_ones() as usize * self.dim);
+        for j in live_levels(self.t) {
+            live.extend_from_slice(&self.a[j]);
+            live.extend_from_slice(&self.b[j]);
         }
+        TreeState { t: self.t, live, s: self.s.clone(), rng: self.rng.state() }
     }
 
     /// Overwrite this mechanism's dynamic state with a previously captured
-    /// one. The mechanism must have been constructed with the same static
-    /// configuration (dimension, horizon — hence levels) as the one the
+    /// one: the live rows are written into place and every other level is
+    /// zeroed in place. The mechanism must have been constructed with the
+    /// same static configuration (dimension, horizon) as the one the
     /// state came from; afterwards its releases and noise stream continue
     /// bit-identically from the captured point.
     ///
     /// On error, the mechanism is untouched.
     ///
     /// # Errors
-    /// [`ContinualError::InvalidState`] if the shapes don't match this
-    /// mechanism's `(levels, dim)`, `t` exceeds the horizon, or any partial
-    /// sum is non-finite.
+    /// [`ContinualError::InvalidState`] if `t` exceeds the horizon, the
+    /// release is not `d` long, the live rows are not `popcount(t)`
+    /// pairs of `d`-vectors, or any value is non-finite.
     pub fn restore_state(&mut self, state: &TreeState) -> Result<()> {
         if state.t > self.t_max {
             return Err(ContinualError::InvalidState {
                 reason: format!("t = {} exceeds horizon T = {}", state.t, self.t_max),
-            });
-        }
-        if state.a.len() != self.levels || state.b.len() != self.levels {
-            return Err(ContinualError::InvalidState {
-                reason: format!(
-                    "level count mismatch (expected {}, found a: {}, b: {})",
-                    self.levels,
-                    state.a.len(),
-                    state.b.len()
-                ),
             });
         }
         if state.s.len() != self.dim {
@@ -557,36 +564,37 @@ impl TreeMechanism {
                 ),
             });
         }
-        for (label, rows) in [("a", &state.a), ("b", &state.b)] {
-            for (j, row) in rows.iter().enumerate() {
-                if row.len() != self.dim {
-                    return Err(ContinualError::InvalidState {
-                        reason: format!(
-                            "{label}[{j}] dimension mismatch (expected {}, found {})",
-                            self.dim,
-                            row.len()
-                        ),
-                    });
-                }
-                if !vector::is_finite(row) {
-                    return Err(ContinualError::InvalidState {
-                        reason: format!("{label}[{j}] contains NaN/infinite entries"),
-                    });
-                }
-            }
-        }
-        if !vector::is_finite(&state.s) {
+        let rows = state.t.count_ones() as usize;
+        if state.live.len() != 2 * rows * self.dim {
             return Err(ContinualError::InvalidState {
-                reason: "maintained release contains NaN/infinite entries".to_string(),
+                reason: format!(
+                    "t = {} has {rows} live levels, i.e. {} values in dimension {}; found {}",
+                    state.t,
+                    2 * rows * self.dim,
+                    self.dim,
+                    state.live.len()
+                ),
             });
         }
+        if !vector::is_finite(&state.live) || !vector::is_finite(&state.s) {
+            return Err(ContinualError::InvalidState {
+                reason: "tree state contains NaN/infinite entries".to_string(),
+            });
+        }
+        // t ≤ t_max, so every set bit of t is below `levels`.
+        let d = self.dim;
+        let mut at = 0;
+        for (j, (a, b)) in self.a.iter_mut().zip(&mut self.b).enumerate() {
+            if is_live(state.t, j) {
+                a.copy_from_slice(&state.live[at..at + d]);
+                b.copy_from_slice(&state.live[at + d..at + 2 * d]);
+                at += 2 * d;
+            } else {
+                a.fill(0.0);
+                b.fill(0.0);
+            }
+        }
         self.t = state.t;
-        for (dst, src) in self.a.iter_mut().zip(&state.a) {
-            dst.copy_from_slice(src);
-        }
-        for (dst, src) in self.b.iter_mut().zip(&state.b) {
-            dst.copy_from_slice(src);
-        }
         self.s.copy_from_slice(&state.s);
         self.rng = NoiseRng::from_state(state.rng);
         Ok(())
@@ -596,6 +604,7 @@ impl TreeMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn rng() -> NoiseRng {
         NoiseRng::seed_from_u64(1234)
@@ -743,8 +752,44 @@ mod tests {
     }
 
     #[test]
+    fn export_carries_only_the_live_levels() {
+        let mut mech = TreeMechanism::with_sigma(2, 64, 1.0, rng());
+        for t in 1..=64usize {
+            mech.update(&[0.5, -0.25]).unwrap();
+            let state = mech.export_state();
+            assert_eq!(state.live.len(), 2 * t.count_ones() as usize * 2, "t={t}");
+            let expect: Vec<f64> =
+                live_levels(t).flat_map(|j| mech.a[j].iter().chain(&mech.b[j]).copied()).collect();
+            assert_eq!(state.live, expect, "t={t}");
+        }
+    }
+
+    #[test]
+    fn restore_zeroes_the_dead_levels_in_place() {
+        // Restore a t = 4 state (one live level, 2) over a mechanism at
+        // t = 3 (levels 0 and 1 live): the stale rows must read +0.0.
+        let mut src = TreeMechanism::with_sigma(2, 8, 1.0, rng());
+        let mut dst = TreeMechanism::with_sigma(2, 8, 1.0, NoiseRng::seed_from_u64(9));
+        for _ in 0..4 {
+            src.update(&[0.5, 0.5]).unwrap();
+        }
+        for _ in 0..3 {
+            dst.update(&[0.25, 0.0]).unwrap();
+        }
+        dst.restore_state(&src.export_state()).unwrap();
+        for j in 0..dst.levels {
+            assert_eq!(dst.a[j], src.a[j], "a[{j}]");
+            assert_eq!(dst.b[j], src.b[j], "b[{j}]");
+        }
+        assert!(dst.a[0].iter().chain(&dst.b[1]).all(|x| x.to_bits() == 0));
+    }
+
+    #[test]
     fn restore_rejects_malformed_state() {
-        let mech = TreeMechanism::new(2, 8, 1.0, &params(), rng()).unwrap();
+        let mut mech = TreeMechanism::new(2, 8, 1.0, &params(), rng()).unwrap();
+        for _ in 0..3 {
+            mech.update(&[0.5, 0.0]).unwrap();
+        }
         let good = mech.export_state();
         let fresh = || TreeMechanism::new(2, 8, 1.0, &params(), rng()).unwrap();
 
@@ -753,11 +798,23 @@ mod tests {
         assert!(matches!(fresh().restore_state(&s), Err(ContinualError::InvalidState { .. })));
 
         let mut s = good.clone();
-        s.a.pop();
+        s.t = 7; // three live levels, but two rows carried
         assert!(matches!(fresh().restore_state(&s), Err(ContinualError::InvalidState { .. })));
 
         let mut s = good.clone();
-        s.b[0] = vec![0.0; 3]; // wrong dim
+        s.t = 4; // one live level, but two rows carried
+        assert!(matches!(fresh().restore_state(&s), Err(ContinualError::InvalidState { .. })));
+
+        let mut s = good.clone();
+        s.live.pop(); // a ragged row
+        assert!(matches!(fresh().restore_state(&s), Err(ContinualError::InvalidState { .. })));
+
+        let mut s = good.clone();
+        s.s.push(0.0); // wrong dim
+        assert!(matches!(fresh().restore_state(&s), Err(ContinualError::InvalidState { .. })));
+
+        let mut s = good.clone();
+        s.live[3] = f64::INFINITY;
         assert!(matches!(fresh().restore_state(&s), Err(ContinualError::InvalidState { .. })));
 
         let mut s = good.clone();
@@ -782,5 +839,120 @@ mod tests {
         // log^{3/2} scaling: (12/6)^{3/2} ≈ 2.83 ≪ (2^12/2^6)^{1/2} = 8.
         assert!(ratio < 4.0, "ratio {ratio}");
         assert!(ratio > 1.5, "ratio {ratio}");
+    }
+
+    // The live-level layout's invariant: the codec writes only the rows
+    // whose bit is set in `t` and restores every other row as +0.0, so
+    // those rows must already be exactly +0.0 (bits, not just value) at
+    // every step, for any shape, horizon and noise scale.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn rows_outside_the_bits_of_t_are_positive_zero(
+            seed in any::<u64>(),
+            d in 1usize..6,
+            t_max in 1usize..80,
+            noiseless in any::<bool>(),
+            sigma in 0.0f64..40.0,
+        ) {
+            let sigma = if noiseless { 0.0 } else { sigma };
+            let mut mech = TreeMechanism::with_sigma(d, t_max, sigma, NoiseRng::seed_from_u64(seed));
+            let mut item_rng = NoiseRng::seed_from_u64(seed ^ 0x5EED);
+            for t in 1..=t_max {
+                let v: Vec<f64> = (0..d).map(|_| item_rng.uniform_in(-1.0, 1.0)).collect();
+                mech.update(&v).unwrap();
+                for j in (0..mech.levels).filter(|&j| !is_live(t, j)) {
+                    prop_assert!(
+                        mech.a[j].iter().chain(&mech.b[j]).all(|x| x.to_bits() == 0),
+                        "t={} level {}: a dead row is not +0.0", t, j
+                    );
+                }
+            }
+        }
+    }
+
+    // The incremental-release law: the maintained `s_t` that `update`
+    // returns (and `query` copies) must agree with the
+    // `O(d · popcount(t))` level re-summation reference
+    // (`release_resummed`) at every `t` — across random streams, noise
+    // scales, and horizons. Agreement is up to floating-point drift
+    // only: retiring a level subtracts the exact `b_j` that was added,
+    // so the two paths differ by re-association, never by value.
+
+    /// Assert coordinate-wise agreement with a tolerance scaled to the active
+    /// nodes' magnitude (large σ inflates `b_j` without inflating the paper's
+    /// release, so an absolute tolerance would be wrong on both sides).
+    fn assert_matches_reference(mech: &TreeMechanism, maintained: &[f64], t: usize) {
+        let reference = mech.release_resummed();
+        let scale = reference.iter().chain(maintained).fold(1.0f64, |m, x| m.max(x.abs()))
+            * mech.sigma().max(1.0);
+        for (k, (r, m)) in reference.iter().zip(maintained).enumerate() {
+            assert!(
+                (r - m).abs() <= 1e-9 * scale,
+                "t={t} coord {k}: maintained {m} vs resummed {r}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn incremental_release_equals_resummation(
+            seed in any::<u64>(),
+            d in 1usize..8,
+            log_t in 1usize..7,
+            sigma in 0.0f64..50.0,
+        ) {
+            let t_max = 1usize << log_t;
+            let mut mech = TreeMechanism::with_sigma(d, t_max, sigma, NoiseRng::seed_from_u64(seed));
+            let mut item_rng = NoiseRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
+            let mut release = vec![0.0; d];
+            for t in 1..=t_max {
+                let v: Vec<f64> = (0..d).map(|_| item_rng.uniform_in(-1.0, 1.0)).collect();
+                mech.update_into(&v, &mut release).unwrap();
+                assert_matches_reference(&mech, &release, t);
+                // query() is the same maintained vector.
+                prop_assert_eq!(mech.query(), release.clone());
+            }
+        }
+
+        #[test]
+        fn incremental_release_equals_resummation_private_calibration(
+            seed in any::<u64>(),
+            log_t in 2usize..6,
+        ) {
+            // Same law through the paper-calibrated constructor (norm-bounded
+            // items, σ from (ε, δ)) — σ here is orders of magnitude larger than
+            // the signal, which is exactly where naive tolerance choices break.
+            let p = PrivacyParams::approx(0.5, 1e-7).unwrap();
+            let d = 3;
+            let t_max = 1usize << log_t;
+            let mut mech =
+                TreeMechanism::new(d, t_max, 1.0, &p, NoiseRng::seed_from_u64(seed)).unwrap();
+            let mut item_rng = NoiseRng::seed_from_u64(seed ^ 0xC3C3_3C3C);
+            let mut v = vec![0.0; d];
+            for t in 1..=t_max {
+                item_rng.unit_sphere_into(&mut v);
+                let release = mech.update(&v).unwrap();
+                assert_matches_reference(&mech, &release, t);
+            }
+        }
+    }
+
+    /// Long-stream drift check: 4096 updates cross every retire pattern up to
+    /// 12 trailing ones; the maintained release must not accumulate visible
+    /// floating-point drift relative to re-summation.
+    #[test]
+    fn no_visible_drift_over_long_streams() {
+        let mut mech = TreeMechanism::with_sigma(2, 1 << 12, 25.0, NoiseRng::seed_from_u64(99));
+        let mut item_rng = NoiseRng::seed_from_u64(100);
+        let mut release = vec![0.0; 2];
+        for t in 1..=(1usize << 12) {
+            let v = [item_rng.uniform_in(-1.0, 1.0), item_rng.uniform_in(-1.0, 1.0)];
+            mech.update_into(&v, &mut release).unwrap();
+            assert_matches_reference(&mech, &release, t);
+        }
     }
 }

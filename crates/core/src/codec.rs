@@ -19,19 +19,34 @@
 //! constructor with the same seed. The blob opens with a one-byte
 //! mechanism tag (`TAG_*`), so state captured from one mechanism family
 //! is never absorbed by another. Vectors are a `u64` count then the
-//! `f64`s; trees are written by [`put_tree`].
+//! `f64`s; trees are written by [`put_tree`] in the live-level layout.
+//!
+//! The tag also names the tree layout. Readers grow backwards and
+//! writers stay current: `save_state` writes only [`TAG_REG1_LIVE`] /
+//! [`TAG_REG2_LIVE`], while `load_state` still accepts the full-level
+//! [`TAG_REG1`] / [`TAG_REG2`] blobs of earlier builds (spilled sessions
+//! and checkpoint manifests outlive upgrades) and converts them to the
+//! live form on read ([`TreeLayout::take`]).
 
 use crate::error::CoreError;
 use pir_continual::TreeState;
 
-/// Blob tag for [`crate::PrivIncReg1`] state.
+/// Blob tag for [`crate::PrivIncReg1`] state with full-level trees
+/// (every level of `a` and `b` written). Read, never written.
 pub const TAG_REG1: u8 = 1;
-/// Blob tag for [`crate::PrivIncReg2`] state.
+/// Blob tag for [`crate::PrivIncReg2`] state with full-level trees.
+/// Read, never written.
 pub const TAG_REG2: u8 = 2;
 /// Blob tag for [`crate::TrivialMechanism`] state.
 pub const TAG_TRIVIAL: u8 = 3;
 /// Blob tag for [`crate::ExactIncremental`] state.
 pub const TAG_EXACT: u8 = 4;
+/// Blob tag for [`crate::PrivIncReg1`] state with live-level trees
+/// ([`put_tree`]).
+pub const TAG_REG1_LIVE: u8 = 5;
+/// Blob tag for [`crate::PrivIncReg2`] state with live-level trees
+/// ([`put_tree`]).
+pub const TAG_REG2_LIVE: u8 = 6;
 
 /// Why a [`Dec`] read failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -321,21 +336,19 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Append a [`TreeState`]: step counter, the four generator words, the
-/// `a` rows and `b` rows (each a `u64` level count and that many
-/// vectors), and the maintained release.
+/// Append a [`TreeState`] in the live-level layout: step counter `t`,
+/// the four generator words, the row dimension `d` (`u64`), then `a_j`
+/// and `b_j` (`d` `f64`s each) for every set bit `j` of `t` in
+/// ascending order, then the maintained release (`d` `f64`s). No level
+/// count or mask is stored: the live levels are the bits of `t`.
 pub fn put_tree(e: &mut Enc<'_>, tree: &TreeState) {
     e.u64(tree.t as u64);
     for w in tree.rng {
         e.u64(w);
     }
-    for rows in [&tree.a, &tree.b] {
-        e.u64(rows.len() as u64);
-        for row in rows {
-            e.f64_slice(row);
-        }
-    }
-    e.f64_slice(&tree.s);
+    e.u64(tree.s.len() as u64);
+    e.f64s(&tree.live);
+    e.f64s(&tree.s);
 }
 
 /// Read a [`TreeState`] written by [`put_tree`]. Shape agreement with a
@@ -343,10 +356,35 @@ pub fn put_tree(e: &mut Enc<'_>, tree: &TreeState) {
 /// job.
 pub fn take_tree(d: &mut Dec<'_>) -> Result<TreeState, CodecError> {
     let t = d.u64()? as usize;
+    let rng = take_rng(d)?;
+    let dim = usize::try_from(d.u64()?).unwrap_or(usize::MAX);
+    let live = d.f64s(dim.saturating_mul(2 * t.count_ones() as usize))?;
+    let s = d.f64s(dim)?;
+    Ok(TreeState { t, live, s, rng })
+}
+
+fn take_rng(d: &mut Dec<'_>) -> Result<[u64; 4], CodecError> {
     let mut rng = [0u64; 4];
     for w in rng.iter_mut() {
         *w = d.u64()?;
     }
+    Ok(rng)
+}
+
+/// Read a tree in the full-level layout of [`TAG_REG1`]/[`TAG_REG2`]
+/// blobs — `t`, the generator words, the `a` rows and the `b` rows (each
+/// a `u64` level count and that many `u64`-counted vectors), then the
+/// `u64`-counted release — and convert it to the live form.
+///
+/// # Errors
+/// [`CoreError::InvalidState`] on truncation, on `a` and `b` level counts
+/// or row dimensions that disagree, on a set bit of `t` with no level
+/// behind it, and on any row outside the bits of `t` that is not all
+/// `+0.0` bits (such a row is not a state the tree can reach, and the
+/// live form would silently drop it).
+fn take_full_tree(d: &mut Dec<'_>) -> Result<TreeState, CoreError> {
+    let t = d.u64()? as usize;
+    let rng = take_rng(d)?;
     let mut levels = || -> Result<Vec<Vec<f64>>, CodecError> {
         let n = d.count(8)?;
         (0..n).map(|_| d.f64_vec()).collect()
@@ -354,7 +392,69 @@ pub fn take_tree(d: &mut Dec<'_>) -> Result<TreeState, CodecError> {
     let a = levels()?;
     let b = levels()?;
     let s = d.f64_vec()?;
-    Ok(TreeState { t, a, b, s, rng })
+    let invalid = |reason: String| CoreError::InvalidState { reason };
+    if a.len() != b.len() {
+        return Err(invalid(format!("level counts disagree (a: {}, b: {})", a.len(), b.len())));
+    }
+    let mut live = Vec::new();
+    for (j, (aj, bj)) in a.iter().zip(&b).enumerate() {
+        if aj.len() != s.len() || bj.len() != s.len() {
+            return Err(invalid(format!("level {j} rows are not {}-vectors", s.len())));
+        }
+        if t.checked_shr(j as u32).is_some_and(|bits| bits & 1 == 1) {
+            live.extend_from_slice(aj);
+            live.extend_from_slice(bj);
+        } else if aj.iter().chain(bj).any(|x| x.to_bits() != 0) {
+            return Err(invalid(format!("level {j} is outside t = {t} but not +0.0")));
+        }
+    }
+    if live.len() != 2 * t.count_ones() as usize * s.len() {
+        return Err(invalid(format!("t = {t} has a set bit at or above level {}", a.len())));
+    }
+    Ok(TreeState { t, live, s, rng })
+}
+
+/// The tree layout a Reg1/Reg2 state blob's tag selects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TreeLayout {
+    /// Live levels only ([`put_tree`]); what `save_state` writes.
+    Live,
+    /// Every level, as written by earlier builds; read-only.
+    Full,
+}
+
+impl TreeLayout {
+    /// Read one tree in this layout, as a live-form [`TreeState`].
+    ///
+    /// # Errors
+    /// [`CoreError::InvalidState`] on truncation, and for the full layout
+    /// on the rows [`TreeLayout::Full`] cannot convert.
+    pub fn take(self, d: &mut Dec<'_>) -> Result<TreeState, CoreError> {
+        match self {
+            TreeLayout::Live => Ok(take_tree(d)?),
+            TreeLayout::Full => take_full_tree(d),
+        }
+    }
+}
+
+/// Read a tree mechanism's state-blob tag: `live` selects
+/// [`TreeLayout::Live`], `full` the legacy [`TreeLayout::Full`].
+///
+/// # Errors
+/// [`CoreError::InvalidState`] on truncation or any other tag.
+pub fn expect_tree_tag(
+    d: &mut Dec<'_>,
+    live: u8,
+    full: u8,
+    mechanism: &str,
+) -> Result<TreeLayout, CoreError> {
+    match d.u8()? {
+        found if found == live => Ok(TreeLayout::Live),
+        found if found == full => Ok(TreeLayout::Full),
+        found => Err(CoreError::InvalidState {
+            reason: format!("state blob tag {found} is not {mechanism}'s tag {live} (or {full})"),
+        }),
+    }
 }
 
 /// Read a state blob's leading mechanism tag and check it is `tag`.
@@ -439,19 +539,95 @@ mod tests {
         assert_eq!(buf, [&[0xAA, 0x42, 7, 0, 0, 0][..], b"payload", &[0, 0, 0, 0], b"xy"].concat());
     }
 
-    #[test]
-    fn tree_state_roundtrip() {
-        let tree = TreeState {
-            t: 13,
-            a: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
-            b: vec![vec![-1.0, 0.5], vec![0.0, 9.0]],
+    /// `t = 5` (bits 0 and 2) with `d = 2`: two live levels.
+    fn live_tree() -> TreeState {
+        TreeState {
+            t: 5,
+            live: vec![1.0, 2.0, -1.0, 0.5, 3.0, 4.0, 0.0, 9.0],
             s: vec![2.0, 13.5],
             rng: [1, 2, 3, u64::MAX],
-        };
+        }
+    }
+
+    /// A tree in the full-level layout, with the given `a` and `b` rows.
+    fn put_full_tree(e: &mut Enc<'_>, a: &[Vec<f64>], b: &[Vec<f64>], tree: &TreeState) {
+        e.u64(tree.t as u64);
+        for w in tree.rng {
+            e.u64(w);
+        }
+        for rows in [a, b] {
+            e.u64(rows.len() as u64);
+            for row in rows {
+                e.f64_slice(row);
+            }
+        }
+        e.f64_slice(&tree.s);
+    }
+
+    #[test]
+    fn tree_state_roundtrip() {
+        let tree = live_tree();
         let mut buf = Vec::new();
         put_tree(&mut Enc::new(&mut buf), &tree);
+        assert_eq!(buf.len(), 8 + 32 + 8 + 8 * 8 + 2 * 8, "no counts, no dead rows");
         let mut d = Dec::new(&buf);
-        assert_eq!(take_tree(&mut d).unwrap(), tree);
+        assert_eq!(TreeLayout::Live.take(&mut d).unwrap(), tree);
         d.finish().unwrap();
+        // Every strict prefix is a truncation, never a shorter tree.
+        for cut in 0..buf.len() {
+            assert!(take_tree(&mut Dec::new(&buf[..cut])).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn full_level_trees_convert_to_the_live_form() {
+        let tree = live_tree();
+        let a = vec![vec![1.0, 2.0], vec![0.0; 2], vec![3.0, 4.0], vec![0.0; 2]];
+        let b = vec![vec![-1.0, 0.5], vec![0.0; 2], vec![0.0, 9.0], vec![0.0; 2]];
+        let full = |a: &[Vec<f64>], b: &[Vec<f64>], tree: &TreeState| {
+            let mut buf = Vec::new();
+            put_full_tree(&mut Enc::new(&mut buf), a, b, tree);
+            buf
+        };
+        let buf = full(&a, &b, &tree);
+        let mut d = Dec::new(&buf);
+        assert_eq!(TreeLayout::Full.take(&mut d).unwrap(), tree);
+        d.finish().unwrap();
+
+        let refused = |a: &[Vec<f64>], b: &[Vec<f64>], tree: &TreeState| {
+            let buf = full(a, b, tree);
+            matches!(
+                TreeLayout::Full.take(&mut Dec::new(&buf)),
+                Err(CoreError::InvalidState { .. })
+            )
+        };
+        // A dead row that is not +0.0 bits: -0.0 and a stray value alike.
+        let mut bad = b.clone();
+        bad[1][0] = -0.0;
+        assert!(refused(&a, &bad, &tree));
+        let mut bad = a.clone();
+        bad[3][1] = 1e-300;
+        assert!(refused(&bad, &b, &tree));
+        // A set bit of t with no level behind it.
+        assert!(refused(&a[..2], &b[..2], &tree));
+        // Level counts or row dimensions that disagree.
+        assert!(refused(&a, &b[..3], &tree));
+        let mut bad = a.clone();
+        bad[1] = vec![0.0; 3];
+        assert!(refused(&bad, &b, &tree));
+        // Truncation.
+        for cut in 0..buf.len() {
+            assert!(TreeLayout::Full.take(&mut Dec::new(&buf[..cut])).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn tree_tags_select_the_layout() {
+        let tag = |b: u8| expect_tree_tag(&mut Dec::new(&[b]), TAG_REG1_LIVE, TAG_REG1, "reg1");
+        assert_eq!(tag(TAG_REG1_LIVE).unwrap(), TreeLayout::Live);
+        assert_eq!(tag(TAG_REG1).unwrap(), TreeLayout::Full);
+        for other in [TAG_REG2, TAG_TRIVIAL, TAG_EXACT, TAG_REG2_LIVE, 0, 99] {
+            assert!(matches!(tag(other), Err(CoreError::InvalidState { .. })), "tag {other}");
+        }
     }
 }

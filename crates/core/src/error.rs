@@ -73,9 +73,16 @@ impl From<pir_dp::DpError> for CoreError {
     }
 }
 
+/// A tree refusing a captured state is a rejected state blob, so it
+/// surfaces as [`CoreError::InvalidState`] like every other load failure.
 impl From<pir_continual::ContinualError> for CoreError {
     fn from(e: pir_continual::ContinualError) -> Self {
-        CoreError::Continual(e)
+        match e {
+            pir_continual::ContinualError::InvalidState { reason } => {
+                CoreError::InvalidState { reason }
+            }
+            e => CoreError::Continual(e),
+        }
     }
 }
 

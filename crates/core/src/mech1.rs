@@ -373,12 +373,14 @@ impl IncrementalMechanism for PrivIncReg1 {
     }
 
     /// Dynamic state: step counter, warm-start iterate, and the two tree
-    /// states (`O(d² log T)` bytes — the same asymptotics as the resident
-    /// mechanism). Scratch buffers are excluded: every step overwrites
-    /// them before reading, so they carry no information across steps.
+    /// states in the live-level layout (`O(d² · popcount(t))` bytes: only
+    /// the tree levels in the prefix decomposition of `t` are written).
+    /// Scratch buffers are excluded: every step overwrites them before
+    /// reading, so they carry no information across steps. Loading also
+    /// accepts the full-level [`codec::TAG_REG1`] blobs of earlier builds.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
-        e.u8(codec::TAG_REG1);
+        e.u8(codec::TAG_REG1_LIVE);
         e.u64(self.t as u64);
         e.f64_slice(&self.last_theta);
         codec::put_tree(&mut e, &self.tree_xy.export_state());
@@ -388,11 +390,16 @@ impl IncrementalMechanism for PrivIncReg1 {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        codec::expect_tag(&mut d, codec::TAG_REG1, "priv-inc-reg-1")?;
+        let layout = codec::expect_tree_tag(
+            &mut d,
+            codec::TAG_REG1_LIVE,
+            codec::TAG_REG1,
+            "priv-inc-reg-1",
+        )?;
         let t = d.u64()? as usize;
         let last_theta = d.f64_vec()?;
-        let xy = codec::take_tree(&mut d)?;
-        let xx = codec::take_tree(&mut d)?;
+        let xy = layout.take(&mut d)?;
+        let xx = layout.take(&mut d)?;
         d.finish()?;
         self.check_state(t, &last_theta, xy.t, xx.t)?;
         self.tree_xy.restore_state(&xy)?;

@@ -492,13 +492,15 @@ impl IncrementalMechanism for PrivIncReg2 {
     }
 
     /// Dynamic state: step counter, the two warm-start iterates (projected
-    /// `ϑ` and lifted `θ`), and the two projected-space tree states
-    /// (`O(m² log T + d)` bytes). The sketch matrix `Φ` is *not* here — it
-    /// is static, resampled bit-identically when the mechanism is respawned
-    /// from its spec and seed.
+    /// `ϑ` and lifted `θ`), and the two projected-space tree states in the
+    /// live-level layout (`O(m² · popcount(t) + d)` bytes). The sketch
+    /// matrix `Φ` is *not* here — it is static, resampled bit-identically
+    /// when the mechanism is respawned from its spec and seed. Loading
+    /// also accepts the full-level [`codec::TAG_REG2`] blobs of earlier
+    /// builds.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
-        e.u8(codec::TAG_REG2);
+        e.u8(codec::TAG_REG2_LIVE);
         e.u64(self.t as u64);
         e.f64_slice(&self.last_vartheta);
         e.f64_slice(&self.last_theta);
@@ -509,12 +511,17 @@ impl IncrementalMechanism for PrivIncReg2 {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        codec::expect_tag(&mut d, codec::TAG_REG2, "priv-inc-reg-2")?;
+        let layout = codec::expect_tree_tag(
+            &mut d,
+            codec::TAG_REG2_LIVE,
+            codec::TAG_REG2,
+            "priv-inc-reg-2",
+        )?;
         let t = d.u64()? as usize;
         let last_vartheta = d.f64_vec()?;
         let last_theta = d.f64_vec()?;
-        let xy = codec::take_tree(&mut d)?;
-        let xx = codec::take_tree(&mut d)?;
+        let xy = layout.take(&mut d)?;
+        let xx = layout.take(&mut d)?;
         d.finish()?;
         if t > self.t_max {
             return Err(CoreError::InvalidState {

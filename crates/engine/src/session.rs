@@ -167,9 +167,10 @@ impl StreamSession {
 
     /// Append a `PIRS` snapshot of this session to `out` — everything
     /// needed by [`restore`](StreamSession::restore) to resume the stream
-    /// bit-identically on an engine with the same seed. `O(d log T)`
-    /// bytes; the sketch matrix and other construction-time randomness
-    /// are reproduced from the seed rather than serialized. On error
+    /// bit-identically on an engine with the same seed. Only the live
+    /// tree levels are written (`O(d² · popcount(t))` bytes for
+    /// `PRIVINCREG1`); the sketch matrix and other construction-time
+    /// randomness are reproduced from the seed rather than serialized. On error
     /// `out` is left at its original length.
     ///
     /// # Errors

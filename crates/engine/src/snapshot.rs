@@ -8,7 +8,9 @@
 //! respawns the mechanism deterministically from the engine seed (which
 //! reproduces construction-time randomness such as Mechanism 2's sketch
 //! matrix without serializing it) and then overlays the dynamic state, so
-//! snapshots stay `O(d log T)` — never `O(m × d)`.
+//! snapshots carry only the live tree levels — `O(d² · popcount(t))`
+//! bytes for `PRIVINCREG1`, `O(m² · popcount(t) + d)` for `PRIVINCREG2`
+//! — never the `O(m × d)` sketch.
 //!
 //! ## Layout (version 2)
 //!
@@ -97,8 +99,9 @@ pub fn seed_fingerprint(engine_seed: u64, session_id: u64) -> u64 {
     mix64(s ^ 0xA076_1D64_78BD_642F) ^ mix64(s.rotate_left(32) ^ 0xE703_7ED1_A0B4_28DB)
 }
 
-/// Hard cap on the body length (64 MiB). Real snapshots are `O(d log T)`
-/// — kilobytes — so anything near this cap is a forged or corrupt length
+/// Hard cap on the body length (64 MiB). Real snapshots are
+/// `O(d² · popcount(t))` — kilobytes at small `d` — so anything near
+/// this cap is a forged or corrupt length
 /// field, rejected before any allocation is sized from it.
 pub const MAX_SNAPSHOT_BODY: u32 = 64 * 1024 * 1024;
 

@@ -564,8 +564,8 @@ pub enum FsyncPolicy {
     PerRecord,
     /// `fdatasync` every `every` records (and on rotation and
     /// [`WalWriter::finish`]): bounds power-loss exposure to the last
-    /// `every − 1` commands while amortizing the flush. The default,
-    /// with `every = 256`.
+    /// `every − 1` commands while amortizing the flush. The default
+    /// ([`WalOptions::new`]), with `every = 4096`.
     Interval {
         /// Records between forced syncs; must be at least 1.
         every: usize,

@@ -4,6 +4,9 @@
 //! corruption must surface as a typed [`SnapshotError`], never a panic
 //! and never a silently-wrong session.
 
+mod common;
+
+use private_incremental_regression::core::CoreError;
 use private_incremental_regression::prelude::*;
 use proptest::prelude::*;
 
@@ -20,16 +23,57 @@ fn point(d: usize, t: usize) -> DataPoint {
     DataPoint::new(x, 0.2)
 }
 
-/// A real snapshot of a mid-stream `PRIVINCREG1` session — the honest
-/// artifact every fault below corrupts.
-fn real_blob() -> Vec<u8> {
+/// A snapshot of a `PRIVINCREG1` session (d = 3, T = 16) after `steps`
+/// points.
+fn snapshot_after(steps: usize) -> Vec<u8> {
     let mut engine =
         ShardedEngine::new(EngineConfig { num_shards: 1, seed: SEED, parallel: false }).unwrap();
     engine.spawn_session(SESSION, &MechanismSpec::reg1_l2(3), 16, &params()).unwrap();
-    for t in 0..5 {
+    for t in 0..steps {
         engine.observe(SESSION, &point(3, t)).unwrap();
     }
     engine.with_session(SESSION, |s| s.snapshot().unwrap()).unwrap()
+}
+
+/// A real snapshot of a mid-stream `PRIVINCREG1` session — the honest
+/// artifact every fault below corrupts.
+fn real_blob() -> Vec<u8> {
+    snapshot_after(5)
+}
+
+/// The session at `t = 11`: tree levels 0, 1 and 3 are live, 2 and 4
+/// are not, so the live-level tree layout skips rows between live ones.
+fn deep_blob() -> Vec<u8> {
+    snapshot_after(11)
+}
+
+/// Where a version-2 snapshot's state length field sits: after the
+/// 12-byte header, the eight fixed body fields and the spec.
+fn state_field(blob: &[u8]) -> usize {
+    let spec_at = 12 + 8 * 8;
+    spec_at + 4 + u32::from_le_bytes(blob[spec_at..spec_at + 4].try_into().unwrap()) as usize
+}
+
+/// `real_blob` as a build before the live-level tree layout wrote it:
+/// the same snapshot around the full-level mechanism state blob.
+fn full_level_blob() -> Vec<u8> {
+    let blob = real_blob();
+    let at = state_field(&blob);
+    let state = common::full_level_state(&blob[at + 4..blob.len() - 4], 16);
+    let mut out = blob[..at].to_vec();
+    out.extend_from_slice(&(state.len() as u32).to_le_bytes());
+    out.extend_from_slice(&state);
+    let body_len = (out.len() - 12) as u32;
+    out[8..12].copy_from_slice(&body_len.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    refix_crc(&mut out);
+    out
+}
+
+/// Every blob the sweeps corrupt: the shallow session, the deep one,
+/// and the full-level form of the shallow one.
+fn sweep_blobs() -> [Vec<u8>; 3] {
+    [real_blob(), deep_blob(), full_level_blob()]
 }
 
 /// Restore must answer every corruption with `Err`, never a panic. The
@@ -113,20 +157,21 @@ fn trailing_garbage_is_rejected() {
 /// snapshot can never restore to a shorter-but-plausible session.
 #[test]
 fn every_truncation_prefix_is_a_typed_error() {
-    let blob = real_blob();
-    for cut in 0..blob.len() {
-        match restore(&blob[..cut]) {
-            Err(
-                SnapshotError::Truncated { .. }
-                | SnapshotError::BadMagic { .. }
-                | SnapshotError::ChecksumMismatch { .. }
-                | SnapshotError::Malformed { .. },
-            ) => {}
-            other => panic!("prefix of {cut} bytes: expected a typed error, got {other:?}"),
+    for blob in sweep_blobs() {
+        for cut in 0..blob.len() {
+            match restore(&blob[..cut]) {
+                Err(
+                    SnapshotError::Truncated { .. }
+                    | SnapshotError::BadMagic { .. }
+                    | SnapshotError::ChecksumMismatch { .. }
+                    | SnapshotError::Malformed { .. },
+                ) => {}
+                other => panic!("prefix of {cut} bytes: expected a typed error, got {other:?}"),
+            }
         }
+        // And the untouched blob still restores (the harness itself is sound).
+        restore(&blob).unwrap();
     }
-    // And the untouched blob still restores (the harness itself is sound).
-    restore(&blob).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -134,17 +179,22 @@ fn every_truncation_prefix_is_a_typed_error() {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(576))]
 
     /// Flip any single bit anywhere in the blob: restore must fail with
     /// a typed error (the CRC covers header and body, and header fields
     /// are validated before the CRC is even checked).
     #[test]
     fn every_bit_flip_is_detected(
+        which in 0usize..3,
         byte_frac in 0.0f64..1.0,
         bit in 0usize..8,
     ) {
-        let mut blob = real_blob();
+        let mut blob = match which {
+            0 => real_blob(),
+            1 => deep_blob(),
+            _ => full_level_blob(),
+        };
         let idx = ((blob.len() as f64) * byte_frac) as usize;
         let idx = idx.min(blob.len() - 1);
         blob[idx] ^= 1 << bit;
@@ -244,4 +294,147 @@ fn wrong_engine_seed_is_refused_before_respawn() {
     }
     // The honest seed still restores: the tripwire has no false positives.
     restore(&blob).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Mechanism state blobs: the layer under the envelope
+// ---------------------------------------------------------------------------
+
+const T_MAX: usize = 16;
+const D: usize = 3;
+
+/// A fresh `PRIVINCREG1` (d = 3, T = 16) and its state blob after 11
+/// points (tree levels 0, 1 and 3 live).
+fn reg1_state() -> (PrivIncReg1, Vec<u8>) {
+    let spawn = || {
+        let mut rng = NoiseRng::seed_from_u64(SEED);
+        PrivIncReg1::new(Box::new(L2Ball::unit(D)), T_MAX, &params(), &mut rng, Default::default())
+            .unwrap()
+    };
+    let mut mech = spawn();
+    for t in 0..11 {
+        mech.observe(&point(D, t)).unwrap();
+    }
+    let mut blob = Vec::new();
+    mech.save_state(&mut blob).unwrap();
+    (spawn(), blob)
+}
+
+/// Offsets of the three step counters in a `reg1_state` blob: the
+/// mechanism's after the tag, then each tree's at its start (after the
+/// counted warm-start iterate). A live-level tree is `t`, 4 generator
+/// words, the dimension, 3 live `(a_j, b_j)` pairs and the release; a
+/// full-level one counts all 5 levels of `a` and of `b`.
+fn reg1_t_offsets(full_level: bool) -> [usize; 3] {
+    let xy = 1 + 8 + 8 + 8 * D;
+    let xy_len = if full_level {
+        8 + 32 + 2 * (8 + 5 * (8 + 8 * D)) + 8 + 8 * D
+    } else {
+        8 + 32 + 8 + 2 * 3 * 8 * D + 8 * D
+    };
+    [1, xy, xy + xy_len]
+}
+
+fn is_invalid_state(r: Result<(), CoreError>) -> bool {
+    matches!(r, Err(CoreError::InvalidState { .. }))
+}
+
+/// A live-level tree carries exactly `popcount(t)` levels and no count of
+/// its own, so any step counter whose bits disagree with the rows that
+/// follow misaligns the blob — a typed `InvalidState`, never a panic or a
+/// shifted restore.
+#[test]
+fn live_row_count_other_than_popcount_is_invalid_state() {
+    let (mut mech, blob) = reg1_state();
+    let [_, xy, xx] = reg1_t_offsets(false);
+    assert_eq!(blob[xy..xy + 8], 11u64.to_le_bytes(), "offset arithmetic");
+    assert_eq!(blob[xx..xx + 8], 11u64.to_le_bytes(), "offset arithmetic");
+    for (at, dim) in [(xy, D as u64), (xx, (D * D) as u64)] {
+        // 0, 8 and 1 (fewer live levels), 15 (more), with the same t_max.
+        for forged in [0u64, 1, 8, 15] {
+            let mut bad = blob.clone();
+            bad[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            assert!(is_invalid_state(mech.load_state(&bad)), "tree t at {at} forged to {forged}");
+        }
+        // The dimension field claims rows of another width.
+        assert_eq!(blob[at + 40..at + 48], dim.to_le_bytes(), "offset arithmetic");
+        for forged in [0, dim - 1, dim + 1, u64::MAX] {
+            let mut bad = blob.clone();
+            bad[at + 40..at + 48].copy_from_slice(&forged.to_le_bytes());
+            assert!(is_invalid_state(mech.load_state(&bad)), "tree dim at {at} forged to {forged}");
+        }
+    }
+    mech.load_state(&blob).unwrap();
+    assert_eq!(mech.t(), 11);
+}
+
+/// `t` past the horizon is refused even when every counter agrees and the
+/// rows line up: 19 = 0b10011 has as many live levels as 11 = 0b1011.
+#[test]
+fn step_count_past_the_horizon_is_invalid_state() {
+    let (mut mech, blob) = reg1_state();
+    for (full_level, forged_blob) in
+        [(false, blob.clone()), (true, common::full_level_state(&blob, T_MAX))]
+    {
+        let offsets = reg1_t_offsets(full_level);
+        for at in offsets {
+            assert_eq!(forged_blob[at..at + 8], 11u64.to_le_bytes(), "offset arithmetic");
+        }
+        let mut bad = forged_blob.clone();
+        for at in offsets {
+            bad[at..at + 8].copy_from_slice(&19u64.to_le_bytes());
+        }
+        assert!(is_invalid_state(mech.load_state(&bad)));
+        // Only the trees past the horizon: the counters disagree.
+        let mut bad = forged_blob.clone();
+        for at in &offsets[1..] {
+            bad[*at..*at + 8].copy_from_slice(&19u64.to_le_bytes());
+        }
+        assert!(is_invalid_state(mech.load_state(&bad)));
+    }
+}
+
+/// A full-level blob's rows outside the bits of `t` must be exactly
+/// `+0.0` bits: the live form would silently drop anything else. `-0.0`
+/// and a subnormal are refused in the dead levels 2 and 4 of both rows
+/// of both trees.
+#[test]
+fn full_level_nonzero_dead_row_is_invalid_state() {
+    let (mut mech, blob) = reg1_state();
+    let full = common::full_level_state(&blob, T_MAX);
+    mech.load_state(&full).unwrap();
+    let [_, xy, xx] = reg1_t_offsets(true);
+    for (tree, dim) in [(xy, D), (xx, D * D)] {
+        let row = |rows_at: usize, j: usize| rows_at + 8 + j * (8 + 8 * dim) + 8;
+        let a_rows = tree + 8 + 32;
+        let b_rows = a_rows + 8 + 5 * (8 + 8 * dim);
+        for at in [row(a_rows, 2), row(a_rows, 4), row(b_rows, 2), row(b_rows, 4)] {
+            assert_eq!(full[at..at + 8], [0; 8], "offset arithmetic");
+            for value in [-0.0f64, 5e-324] {
+                let mut bad = full.clone();
+                bad[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+                assert!(is_invalid_state(mech.load_state(&bad)), "{value:e} at {at}");
+            }
+        }
+    }
+}
+
+/// Every prefix of either layout's mechanism blob is `InvalidState`, and
+/// every single-bit flip either loads or is `InvalidState` — no flip
+/// panics (a flipped float in a live row is a different, valid state;
+/// the `PIRS` checksum above is what catches those).
+#[test]
+fn mechanism_blob_truncations_and_bit_flips_are_typed() {
+    let (mut mech, blob) = reg1_state();
+    for bytes in [blob.clone(), common::full_level_state(&blob, T_MAX)] {
+        for cut in 0..bytes.len() {
+            assert!(is_invalid_state(mech.load_state(&bytes[..cut])), "prefix of {cut} bytes");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let r = mech.load_state(&bad);
+            assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
+        }
+    }
 }

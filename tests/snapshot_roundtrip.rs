@@ -10,6 +10,8 @@
 //! mechanism's dynamic state (partial sums, cached noise, the serialized
 //! RNG position) is in play.
 
+mod common;
+
 use private_incremental_regression::prelude::*;
 use proptest::prelude::*;
 
@@ -245,32 +247,47 @@ proptest! {
 /// seeded stream. Any change to the byte layout of the dynamic state —
 /// field order, widths, the tree encoding — moves one of these numbers,
 /// so a codec refactor that claims "bytes unchanged" is held to it.
+///
+/// The tree mechanisms write the live-level layout. Their full-level
+/// blobs from earlier builds keep their old pins (849 and 1425 bytes):
+/// `common::full_level_state` rebuilds those exact bytes from the live
+/// blob, and a fresh mechanism that loads them continues the stream
+/// bit-identically and re-saves the live blob byte for byte.
 #[test]
 fn mechanism_state_blobs_are_byte_pinned() {
-    let p = params();
-    let mut rng = NoiseRng::seed_from_u64(2017);
-    let reg2_config =
-        PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() };
-    let mut mechs: Vec<(&str, Box<dyn IncrementalMechanism>)> = vec![
-        (
-            "reg1 d=2",
-            Box::new(
-                PrivIncReg1::new(Box::new(L2Ball::unit(2)), 16, &p, &mut rng, Default::default())
+    let build = || -> Vec<(&str, Box<dyn IncrementalMechanism>)> {
+        let p = params();
+        let mut rng = NoiseRng::seed_from_u64(2017);
+        let reg2_config =
+            PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() };
+        vec![
+            (
+                "reg1 d=2",
+                Box::new(
+                    PrivIncReg1::new(
+                        Box::new(L2Ball::unit(2)),
+                        16,
+                        &p,
+                        &mut rng,
+                        Default::default(),
+                    )
                     .unwrap(),
+                ),
             ),
-        ),
-        (
-            "reg2 d=4 m=3",
-            Box::new(
-                PrivIncReg2::new(Box::new(L1Ball::unit(4)), 2.0, 16, &p, &mut rng, reg2_config)
-                    .unwrap(),
+            (
+                "reg2 d=4 m=3",
+                Box::new(
+                    PrivIncReg2::new(Box::new(L1Ball::unit(4)), 2.0, 16, &p, &mut rng, reg2_config)
+                        .unwrap(),
+                ),
             ),
-        ),
-        ("exact d=2", Box::new(ExactIncremental::new(Box::new(L2Ball::unit(2))))),
-        ("trivial d=2", Box::new(TrivialMechanism::new(&L2Ball::unit(2)))),
-    ];
-    let mut pins = Vec::new();
-    for (name, mech) in &mut mechs {
+            ("exact d=2", Box::new(ExactIncremental::new(Box::new(L2Ball::unit(2))))),
+            ("trivial d=2", Box::new(TrivialMechanism::new(&L2Ball::unit(2)))),
+        ]
+    };
+    let (mut mechs, mut fresh) = (build(), build());
+    let (mut pins, mut full_pins) = (Vec::new(), Vec::new());
+    for ((name, mech), (_, restored)) in mechs.iter_mut().zip(&mut fresh) {
         let d = mech.dim();
         for t in 0..5 {
             mech.observe(&point(d, t, 3)).unwrap();
@@ -278,15 +295,85 @@ fn mechanism_state_blobs_are_byte_pinned() {
         let mut blob = Vec::new();
         mech.save_state(&mut blob).unwrap();
         pins.push((*name, blob.len(), pir_engine::wal::crc32(&blob)));
+        if !name.starts_with("reg") {
+            continue;
+        }
+        let full = common::full_level_state(&blob, 16);
+        full_pins.push((*name, full.len(), pir_engine::wal::crc32(&full)));
+        restored.load_state(&full).unwrap();
+        let mut resaved = Vec::new();
+        restored.save_state(&mut resaved).unwrap();
+        assert_eq!(resaved, blob, "{name}: a full-level blob re-saves as the live blob");
+        for t in 5..16 {
+            let z = point(d, t, 3);
+            let live: Vec<u64> = mech.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+            let back: Vec<u64> =
+                restored.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(live, back, "{name}: full-level restore diverged at t = {t}");
+        }
     }
+    assert_eq!(
+        full_pins,
+        vec![("reg1 d=2", 849, 0xD4CD_9BD7), ("reg2 d=4 m=3", 1425, 0x3314_D250)],
+        "the test-side full-level encoder no longer writes the old layout"
+    );
     assert_eq!(
         pins,
         vec![
-            ("reg1 d=2", 849, 0xD4CD_9BD7),
-            ("reg2 d=4 m=3", 1425, 0x3314_D250),
+            ("reg1 d=2", 369, 0x61AA_83E3),
+            ("reg2 d=4 m=3", 657, 0x95CE_505C),
             ("exact d=2", 105, 0x6991_3C2E),
             ("trivial d=2", 9, 0x9764_260F),
         ],
         "mechanism state codec bytes moved"
     );
+}
+
+/// The mechanism-state worked example in `docs/PROTOCOL.md`, byte for
+/// byte: the 169-byte live-level blob of a `PRIVINCREG1` in dimension 1
+/// with `T = 4` after two points. At `t = 2` only tree level 1 is live, so
+/// each tree carries one `(a_1, b_1)` pair and level 0 (and 2) are not
+/// written at all.
+#[test]
+fn mechanism_state_worked_example_matches_protocol_md() {
+    let mut rng = NoiseRng::seed_from_u64(7);
+    let mut mech =
+        PrivIncReg1::new(Box::new(L2Ball::unit(1)), 4, &params(), &mut rng, Default::default())
+            .unwrap();
+    mech.observe(&DataPoint::new(vec![0.5], 0.25)).unwrap();
+    mech.observe(&DataPoint::new(vec![-0.5], 0.5)).unwrap();
+    let mut blob = Vec::new();
+    mech.save_state(&mut blob).unwrap();
+    #[rustfmt::skip]
+    let expected: Vec<u8> = vec![
+        // tag 05 = Reg1, live-level trees; t = 2
+        0x05,
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // warm-start iterate: count 1, θ₁
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0xFD, 0x72, 0x62, 0xFA, 0x9E, 0x6D, 0xB2, 0x3F,
+        // tree Σ y·x: t = 2, generator words, dimension 1
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x8C, 0x79, 0x6F, 0xE7, 0x2F, 0x57, 0x78, 0xBC,
+        0x94, 0x74, 0xB7, 0xF7, 0x51, 0xC9, 0xD5, 0xA8,
+        0xF3, 0xF5, 0x9F, 0x1C, 0x8A, 0x19, 0x45, 0x0F,
+        0xE8, 0x65, 0x1E, 0x80, 0x9E, 0x8A, 0xF1, 0x1E,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // a_1 = -0.125, b_1, s
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, 0xBF,
+        0x31, 0x9F, 0x53, 0xB9, 0x48, 0x38, 0x3F, 0x40,
+        0x31, 0x9F, 0x53, 0xB9, 0x48, 0x38, 0x3F, 0x40,
+        // tree Σ x·xᵀ: t = 2, generator words, dimension 1
+        0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x66, 0x07, 0xBB, 0xCA, 0x68, 0xF7, 0xA8, 0x98,
+        0xB3, 0x10, 0xB1, 0x05, 0x1C, 0x27, 0x56, 0xD0,
+        0x1C, 0x6F, 0x11, 0x47, 0x21, 0x91, 0x5B, 0xCA,
+        0x82, 0x96, 0x87, 0x87, 0x20, 0xD7, 0x5A, 0xC3,
+        0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        // a_1 = 0.5, b_1, s
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x3F,
+        0x1C, 0x0B, 0x8A, 0xCC, 0x87, 0xBC, 0x42, 0x40,
+        0x1C, 0x0B, 0x8A, 0xCC, 0x87, 0xBC, 0x42, 0x40,
+    ];
+    assert_eq!(blob, expected, "docs/PROTOCOL.md's mechanism state worked example is stale");
 }
