@@ -11,11 +11,11 @@
 //! isolates the `observe_batch` amortization from the sharding win.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pir_core::PrivIncReg1Config;
+use pir_core::{PrivIncReg1Config, PrivIncReg2Config};
 use pir_dp::{NoiseRng, PrivacyParams};
 use pir_engine::{
     EngineConfig, EngineHandle, FsyncPolicy, IngressConfig, MechanismSpec, ShardedEngine,
-    SpillOptions, WalOptions,
+    SpillOptions, StreamSession, WalOptions,
 };
 use pir_erm::DataPoint;
 use std::hint::black_box;
@@ -177,6 +177,39 @@ fn bench_spill_restore_latency(c: &mut Criterion) {
     group.finish();
 }
 
+/// What a Reg2 respawn costs: `StreamSession::restore` of a Reg2
+/// d=1000 m=100 session (the `sketch_reg2_d1000` loopbench spec)
+/// snapshotted at t = 48 — re-sampling the sketch, decoding the
+/// live-level trees and checking the carried lift smoothness. The
+/// `reg2_restore` row in `BENCH_engine.json`.
+fn bench_reg2_restore(c: &mut Criterion) {
+    let params = PrivacyParams::approx(1.0, 1e-6).unwrap();
+    let (seed, sid, d) = (11, 7, 1000);
+    let spec = MechanismSpec::Reg2 {
+        set: pir_engine::SetSpec::unit_l1(d),
+        domain_width: 8.0,
+        config: PrivIncReg2Config { m_override: Some(100), lift_iters: 80, ..Default::default() },
+    };
+    let mut engine =
+        ShardedEngine::new(EngineConfig { num_shards: 1, seed, parallel: false }).unwrap();
+    engine.spawn_session(sid, &spec, 1 << 16, &params).unwrap();
+    let mut rng = NoiseRng::seed_from_u64(3);
+    for _ in 0..48 {
+        let mut x = vec![0.0; d];
+        for _ in 0..3 {
+            x[rng.uniform_index(d)] = rng.uniform_in(-0.5, 0.5);
+        }
+        engine.observe(sid, &DataPoint::new(x, 0.2)).unwrap();
+    }
+    let blob = engine.with_session(sid, |s| s.snapshot().unwrap()).unwrap();
+    let mut group = c.benchmark_group("reg2_restore");
+    group.sample_size(10);
+    group.bench_function("d1000_m100_t48", |b| {
+        b.iter(|| black_box(StreamSession::restore(black_box(&blob), seed).unwrap()))
+    });
+    group.finish();
+}
+
 fn build_handle_spill(num_shards: usize, spill: Option<&SpillOptions>) -> EngineHandle {
     let params = PrivacyParams::approx(1.0, 1e-6).unwrap();
     let config = IngressConfig { num_shards, seed: 11, queue_depth: 4 * SESSIONS as usize };
@@ -261,6 +294,7 @@ criterion_group!(
     bench_pipelined_shard_scaling,
     bench_wal_overhead,
     bench_spill_restore_latency,
+    bench_reg2_restore,
     bench_shard_scaling,
     bench_batch_amortization
 );

@@ -1,8 +1,8 @@
 //! Throughput of the raw noise path — the per-draw cost that, multiplied
 //! by the `d²` draws of each completing second-moment node, dominates the
 //! steady-state observe loop (see BENCH_tree_mech.json). Measures the
-//! ziggurat sampler against the retained polar Box–Muller reference, and
-//! the slice-filling primitives against scalar call loops.
+//! ziggurat and Laplace scalar draws, and the slice-filling primitives
+//! against scalar call loops.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pir_dp::NoiseRng;
@@ -14,10 +14,6 @@ fn bench_scalar(c: &mut Criterion) {
     group.bench_function("gaussian_ziggurat", |b| {
         let mut rng = NoiseRng::seed_from_u64(1);
         b.iter(|| black_box(rng.standard_gaussian()));
-    });
-    group.bench_function("gaussian_box_muller", |b| {
-        let mut rng = NoiseRng::seed_from_u64(2);
-        b.iter(|| black_box(rng.standard_gaussian_box_muller()));
     });
     group.bench_function("laplace", |b| {
         let mut rng = NoiseRng::seed_from_u64(3);

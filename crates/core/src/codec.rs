@@ -21,12 +21,14 @@
 //! is never absorbed by another. Vectors are a `u64` count then the
 //! `f64`s; trees are written by [`put_tree`] in the live-level layout.
 //!
-//! The tag also names the tree layout. Readers grow backwards and
-//! writers stay current: `save_state` writes only [`TAG_REG1_LIVE`] /
-//! [`TAG_REG2_LIVE`], while `load_state` still accepts the full-level
-//! [`TAG_REG1`] / [`TAG_REG2`] blobs of earlier builds (spilled sessions
-//! and checkpoint manifests outlive upgrades) and converts them to the
-//! live form on read ([`TreeLayout::take`]).
+//! The tag also names the layout. Readers grow backwards and writers
+//! stay current: `save_state` writes only [`TAG_REG1_LIVE`] /
+//! [`TAG_REG2_SMOOTHNESS`], while `load_state` still accepts the
+//! full-level [`TAG_REG1`] / [`TAG_REG2`] blobs and the
+//! [`TAG_REG2_LIVE`] blobs of earlier builds (spilled sessions and
+//! checkpoint manifests outlive upgrades). Full-level trees are converted
+//! to the live form on read ([`TreeLayout::take`]); a Reg2 blob without
+//! the carried lift smoothness leaves it to be recomputed.
 
 use crate::error::CoreError;
 use pir_continual::TreeState;
@@ -45,8 +47,11 @@ pub const TAG_EXACT: u8 = 4;
 /// ([`put_tree`]).
 pub const TAG_REG1_LIVE: u8 = 5;
 /// Blob tag for [`crate::PrivIncReg2`] state with live-level trees
-/// ([`put_tree`]).
+/// ([`put_tree`]) and no lift smoothness. Read, never written.
 pub const TAG_REG2_LIVE: u8 = 6;
+/// Blob tag for [`crate::PrivIncReg2`] state with live-level trees
+/// followed by the lift smoothness `2‖Φ‖²` as a [`put_opt_f64`] field.
+pub const TAG_REG2_SMOOTHNESS: u8 = 7;
 
 /// Why a [`Dec`] read failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -371,6 +376,33 @@ fn take_rng(d: &mut Dec<'_>) -> Result<[u64; 4], CodecError> {
     Ok(rng)
 }
 
+/// Append an optional `f64`: a presence byte, `0` for `None` and `1` for
+/// `Some`, then the bit pattern only if present.
+pub fn put_opt_f64(e: &mut Enc<'_>, v: Option<f64>) {
+    match v {
+        None => e.u8(0),
+        Some(x) => {
+            e.u8(1);
+            e.f64(x);
+        }
+    }
+}
+
+/// Read an optional `f64` written by [`put_opt_f64`].
+///
+/// # Errors
+/// [`CoreError::InvalidState`] on truncation or a presence byte other
+/// than `0` or `1`.
+pub fn take_opt_f64(d: &mut Dec<'_>) -> Result<Option<f64>, CoreError> {
+    match d.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(d.f64()?)),
+        found => Err(CoreError::InvalidState {
+            reason: format!("presence byte {found} is neither 0 nor 1"),
+        }),
+    }
+}
+
 /// Read a tree in the full-level layout of [`TAG_REG1`]/[`TAG_REG2`]
 /// blobs — `t`, the generator words, the `a` rows and the `b` rows (each
 /// a `u64` level count and that many `u64`-counted vectors), then the
@@ -437,24 +469,23 @@ impl TreeLayout {
     }
 }
 
-/// Read a tree mechanism's state-blob tag: `live` selects
-/// [`TreeLayout::Live`], `full` the legacy [`TreeLayout::Full`].
+/// Read a tree mechanism's state-blob tag, one of `tags`, and return it
+/// with the tree layout it selects.
 ///
 /// # Errors
 /// [`CoreError::InvalidState`] on truncation or any other tag.
 pub fn expect_tree_tag(
     d: &mut Dec<'_>,
-    live: u8,
-    full: u8,
+    tags: &[(u8, TreeLayout)],
     mechanism: &str,
-) -> Result<TreeLayout, CoreError> {
-    match d.u8()? {
-        found if found == live => Ok(TreeLayout::Live),
-        found if found == full => Ok(TreeLayout::Full),
-        found => Err(CoreError::InvalidState {
-            reason: format!("state blob tag {found} is not {mechanism}'s tag {live} (or {full})"),
-        }),
-    }
+) -> Result<(u8, TreeLayout), CoreError> {
+    let found = d.u8()?;
+    tags.iter().copied().find(|&(tag, _)| tag == found).ok_or_else(|| {
+        let known: Vec<u8> = tags.iter().map(|&(tag, _)| tag).collect();
+        CoreError::InvalidState {
+            reason: format!("state blob tag {found} is not one of {mechanism}'s tags {known:?}"),
+        }
+    })
 }
 
 /// Read a state blob's leading mechanism tag and check it is `tag`.
@@ -623,11 +654,33 @@ mod tests {
 
     #[test]
     fn tree_tags_select_the_layout() {
-        let tag = |b: u8| expect_tree_tag(&mut Dec::new(&[b]), TAG_REG1_LIVE, TAG_REG1, "reg1");
-        assert_eq!(tag(TAG_REG1_LIVE).unwrap(), TreeLayout::Live);
-        assert_eq!(tag(TAG_REG1).unwrap(), TreeLayout::Full);
-        for other in [TAG_REG2, TAG_TRIVIAL, TAG_EXACT, TAG_REG2_LIVE, 0, 99] {
+        let tags = [(TAG_REG1_LIVE, TreeLayout::Live), (TAG_REG1, TreeLayout::Full)];
+        let tag = |b: u8| expect_tree_tag(&mut Dec::new(&[b]), &tags, "reg1");
+        assert_eq!(tag(TAG_REG1_LIVE).unwrap(), (TAG_REG1_LIVE, TreeLayout::Live));
+        assert_eq!(tag(TAG_REG1).unwrap(), (TAG_REG1, TreeLayout::Full));
+        for other in [TAG_REG2, TAG_TRIVIAL, TAG_EXACT, TAG_REG2_LIVE, TAG_REG2_SMOOTHNESS, 0, 99] {
             assert!(matches!(tag(other), Err(CoreError::InvalidState { .. })), "tag {other}");
+        }
+    }
+
+    #[test]
+    fn optional_f64_roundtrips_and_refuses_other_presence_bytes() {
+        for v in [None, Some(2.5), Some(-0.0), Some(f64::NAN)] {
+            let mut buf = Vec::new();
+            put_opt_f64(&mut Enc::new(&mut buf), v);
+            assert_eq!(buf.len(), if v.is_some() { 9 } else { 1 });
+            let mut d = Dec::new(&buf);
+            let back = take_opt_f64(&mut d).unwrap();
+            assert_eq!(back.map(f64::to_bits), v.map(f64::to_bits));
+            d.finish().unwrap();
+            for cut in 0..buf.len() {
+                let r = take_opt_f64(&mut Dec::new(&buf[..cut]));
+                assert!(matches!(r, Err(CoreError::InvalidState { .. })), "cut at {cut}");
+            }
+        }
+        for presence in [2u8, 0x80, 0xFF] {
+            let r = take_opt_f64(&mut Dec::new(&[presence, 0, 0, 0, 0, 0, 0, 0, 0]));
+            assert!(matches!(r, Err(CoreError::InvalidState { .. })), "presence {presence}");
         }
     }
 }

@@ -18,14 +18,17 @@
 use crate::error::CoreError;
 use crate::Result;
 use pir_geometry::ConvexSet;
-use pir_linalg::{vector, CholeskyFactor, Matrix};
+use pir_linalg::{vector, CholeskyFactor, Matrix, PowerIterScratch};
 use pir_optim::{fista_into_adaptive, FistaScratch, Objective};
 use pir_sketch::GaussianSketch;
 use std::cell::RefCell;
 
 /// Default lift: constrained least squares `min_{θ∈C} ‖Φθ − ϑ‖²` by
-/// FISTA. `smoothness` must upper-bound `2‖Φ‖²` (callers cache the
-/// power-iteration estimate; see [`sketch_smoothness`]).
+/// FISTA. `smoothness` must upper-bound `2‖Φ‖²`: callers compute the
+/// power-iteration estimate once per sketch ([`sketch_smoothness`]) and
+/// cache it. [`crate::PrivIncReg2`] computes it at its first step and
+/// carries it in its state blob, so a session restored from that blob
+/// does not compute it again.
 ///
 /// # Errors
 /// Dimension mismatch between `target` and the sketch.
@@ -173,11 +176,49 @@ pub(crate) const LIFT_STOP_REL_TOL: f64 = 1e-8;
 /// Smoothness constant `2‖Φ‖²` for the lift objective, estimated by power
 /// iteration (do this once per sketch and cache it).
 pub fn sketch_smoothness(sketch: &GaussianSketch) -> f64 {
-    let s = sketch.matrix().spectral_norm(1e-6, 50_000).unwrap_or_else(|_| {
+    sketch_smoothness_with(sketch, &mut PowerIterScratch::new(sketch.m(), sketch.d()))
+}
+
+/// [`sketch_smoothness`] on caller-owned power-iteration buffers (sized
+/// `m × d`): the same bits, no allocation.
+pub(crate) fn sketch_smoothness_with(
+    sketch: &GaussianSketch,
+    scratch: &mut PowerIterScratch,
+) -> f64 {
+    let s = sketch.matrix().spectral_norm_with(1e-6, 50_000, scratch).unwrap_or_else(|_| {
         // Conservative fallback: Frobenius norm dominates the spectral norm.
         sketch.matrix().frobenius_norm()
     });
     2.0 * s * s
+}
+
+/// Relative slack on each end of [`smoothness_bracket`], for rounding:
+/// the bracket and the power iteration sum the same products in
+/// different orders.
+const SMOOTHNESS_BRACKET_SLACK: f64 = 1e-6;
+
+/// An `O(m·d)` bracket `[lo, hi]` that always holds the value
+/// [`sketch_smoothness`] returns, widened by `1e-6` relative for rounding:
+///
+/// - `lo = 2‖Φ𝟙‖²/d` is the power iteration's first Rayleigh quotient
+///   (it starts from `𝟙/√d`). Later quotients never fall below it, and
+///   the first one is never returned, because the stop rule compares two.
+/// - `hi = 2‖Φ‖²_F` dominates `2‖Φ‖²` and is the power iteration's
+///   fallback when it does not converge.
+///
+/// The tighter-looking `2·maxᵢ‖φᵢ‖²` is not a lower bound of the
+/// estimate: when the start vector is nearly orthogonal to the top
+/// singular vector, the `1e-6` stop rule can fire near the second
+/// singular value, below the largest row norm. A smoothness constant
+/// carried in a state blob is checked against this bracket.
+pub fn smoothness_bracket(sketch: &GaussianSketch) -> (f64, f64) {
+    let phi = sketch.matrix();
+    let row_sums_sq: f64 = (0..phi.rows()).map(|i| phi.row(i).iter().sum::<f64>().powi(2)).sum();
+    let frobenius = vector::norm2_sq(phi.as_slice());
+    (
+        2.0 * row_sums_sq / phi.cols() as f64 * (1.0 - SMOOTHNESS_BRACKET_SLACK),
+        2.0 * frobenius * (1.0 + SMOOTHNESS_BRACKET_SLACK),
+    )
 }
 
 /// Pre-factored affine-projection helper for [`lift_min_gauge`]: the
@@ -348,6 +389,43 @@ mod tests {
                 "adaptive lift {:?} drifted from fixed {:?}", adaptive, fixed
             );
         }
+    }
+
+    proptest! {
+        /// The bracket a carried smoothness constant is checked against
+        /// holds the power-iteration value on every sketch, including the
+        /// small-`m` ones where that value falls below `2·maxᵢ‖φᵢ‖²`; and
+        /// the scratch form gives the same bits on dirty buffers.
+        #[test]
+        fn smoothness_lies_in_its_bracket(seed in 0u64..1_000_000, m in 1usize..7, extra in 0usize..40) {
+            let d = m + extra;
+            let sketch = GaussianSketch::sample(m, d, &mut NoiseRng::seed_from_u64(seed));
+            let l = sketch_smoothness(&sketch);
+            let (lo, hi) = smoothness_bracket(&sketch);
+            prop_assert!(0.0 < lo && lo <= l && l <= hi, "{l} outside [{lo}, {hi}]");
+            let mut scratch = PowerIterScratch::new(m, d);
+            let other = GaussianSketch::sample(m, d, &mut NoiseRng::seed_from_u64(seed + 1));
+            sketch_smoothness_with(&other, &mut scratch);
+            prop_assert_eq!(sketch_smoothness_with(&sketch, &mut scratch).to_bits(), l.to_bits());
+        }
+    }
+
+    /// Seeds on which the power iteration stops near the second singular
+    /// value, below `2·maxᵢ‖φᵢ‖²`: the bracket's lower end must not be
+    /// the largest row norm.
+    #[test]
+    fn early_stopped_power_iteration_stays_in_the_bracket() {
+        let mut below_max_row = 0;
+        for seed in 0..3000u64 {
+            let sketch = GaussianSketch::sample(2, 8, &mut NoiseRng::seed_from_u64(seed));
+            let l = sketch_smoothness(&sketch);
+            let phi = sketch.matrix();
+            let max_row = (0..2).map(|i| vector::norm2_sq(phi.row(i))).fold(0.0, f64::max);
+            below_max_row += usize::from(l < 2.0 * max_row * (1.0 - 1e-3));
+            let (lo, hi) = smoothness_bracket(&sketch);
+            assert!(lo <= l && l <= hi, "seed {seed}: {l} outside [{lo}, {hi}]");
+        }
+        assert!(below_max_row > 0, "no seed exercised the early stop");
     }
 
     #[test]

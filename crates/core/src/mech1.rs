@@ -15,7 +15,7 @@
 //! output sequence is `(ε, δ)`-DP (Theorem A.3 over the two trees).
 //! Memory: `O(d² log T)` — logarithmic in the stream length.
 
-use crate::codec::{self, Dec, Enc};
+use crate::codec::{self, Dec, Enc, TreeLayout};
 use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
 use crate::error::CoreError;
 use crate::stream::IncrementalMechanism;
@@ -390,10 +390,9 @@ impl IncrementalMechanism for PrivIncReg1 {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        let layout = codec::expect_tree_tag(
+        let (_, layout) = codec::expect_tree_tag(
             &mut d,
-            codec::TAG_REG1_LIVE,
-            codec::TAG_REG1,
+            &[(codec::TAG_REG1_LIVE, TreeLayout::Live), (codec::TAG_REG1, TreeLayout::Full)],
             "priv-inc-reg-1",
         )?;
         let t = d.u64()? as usize;

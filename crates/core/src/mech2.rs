@@ -19,17 +19,19 @@
 //! `γ = W^{1/3}/T^{1/3}` and `W = w(X) + w(C)`, giving Theorem 5.7's
 //! `≈ T^{1/3} W^{2/3}/ε` risk. Memory: `O(m² log T + d)`.
 
-use crate::codec::{self, Dec, Enc};
+use crate::codec::{self, Dec, Enc, TreeLayout};
 use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
 use crate::error::CoreError;
-use crate::lift::{lift_constrained_ls_into, sketch_smoothness, LiftScratch};
+use crate::lift::{
+    lift_constrained_ls_into, sketch_smoothness_with, smoothness_bracket, LiftScratch,
+};
 use crate::stream::IncrementalMechanism;
 use crate::Result;
 use pir_continual::TreeMechanism;
 use pir_dp::{NoiseRng, PrivacyParams};
 use pir_erm::DataPoint;
 use pir_geometry::{ConvexSet, L2Ball, WidthSet};
-use pir_linalg::{vector, Matrix};
+use pir_linalg::{vector, Matrix, PowerIterScratch};
 use pir_sketch::{gordon, GaussianSketch};
 
 /// Tuning knobs for [`PrivIncReg2`].
@@ -110,7 +112,9 @@ pub struct PrivIncReg2 {
     proj_ball: L2Ball,
     gamma: f64,
     combined_width: f64,
-    lift_smoothness: f64,
+    /// The lift's `2‖Φ‖²` ([`crate::lift::sketch_smoothness`]): computed
+    /// at the first step that needs it, or carried in from a state blob.
+    lift_smoothness: Option<f64>,
     tree_xy: TreeMechanism,
     tree_xx: TreeMechanism,
     /// Last projected-space iterate (warm start for the per-step PGD).
@@ -142,6 +146,8 @@ struct Reg2Scratch {
     descent: DescentScratch,
     /// Residual and FISTA buffers for the gauge lift (Step 9).
     lift: LiftScratch,
+    /// Power-iteration buffers for the lift smoothness, used once.
+    power: PowerIterScratch,
 }
 
 impl Reg2Scratch {
@@ -154,6 +160,7 @@ impl Reg2Scratch {
             vartheta: vec![0.0; m],
             descent: DescentScratch::new(m),
             lift: LiftScratch::new(m, d),
+            power: PowerIterScratch::new(m, d),
         }
     }
 }
@@ -210,7 +217,6 @@ impl PrivIncReg2 {
             }
         };
         let sketch = GaussianSketch::sample(m, d, rng);
-        let lift_smoothness = sketch_smoothness(&sketch);
         let proj_ball = L2Ball::new(m, (1.0 + gamma) * set.diameter());
         let half = params.halve();
         // ‖Φx̃·y‖ = ‖x‖·|y| ≤ 1 and ‖(Φx̃)(Φx̃)ᵀ‖_F = ‖x‖² ≤ 1.
@@ -225,7 +231,7 @@ impl PrivIncReg2 {
             proj_ball,
             gamma,
             combined_width,
-            lift_smoothness,
+            lift_smoothness: None,
             tree_xy,
             tree_xx,
             last_vartheta: vec![0.0; m],
@@ -372,11 +378,14 @@ impl PrivIncReg2 {
         // Step 9: lift back to C, written straight into the release
         // buffer (dimensions are fixed at construction, so the panicking
         // preconditions of the _into lift cannot trigger here).
+        let smoothness = *self
+            .lift_smoothness
+            .get_or_insert_with(|| sketch_smoothness_with(&self.sketch, &mut self.scratch.power));
         lift_constrained_ls_into(
             &self.sketch,
             &self.scratch.vartheta,
             self.set.as_ref(),
-            self.lift_smoothness,
+            smoothness,
             self.config.lift_iters,
             &self.last_theta,
             &mut self.scratch.lift,
@@ -492,29 +501,36 @@ impl IncrementalMechanism for PrivIncReg2 {
     }
 
     /// Dynamic state: step counter, the two warm-start iterates (projected
-    /// `ϑ` and lifted `θ`), and the two projected-space tree states in the
-    /// live-level layout (`O(m² · popcount(t) + d)` bytes). The sketch
-    /// matrix `Φ` is *not* here — it is static, resampled bit-identically
-    /// when the mechanism is respawned from its spec and seed. Loading
-    /// also accepts the full-level [`codec::TAG_REG2`] blobs of earlier
-    /// builds.
+    /// `ϑ` and lifted `θ`), the two projected-space tree states in the
+    /// live-level layout (`O(m² · popcount(t) + d)` bytes), then the lift
+    /// smoothness `2‖Φ‖²` once a step has computed it. The sketch matrix
+    /// `Φ` is *not* here — it is static, resampled bit-identically when
+    /// the mechanism is respawned from its spec and seed — but the
+    /// constant derived from it is, so a restore skips the power
+    /// iteration. Loading also accepts the [`codec::TAG_REG2_LIVE`] and
+    /// full-level [`codec::TAG_REG2`] blobs of earlier builds; they carry
+    /// no smoothness, so the next step computes it.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
-        e.u8(codec::TAG_REG2_LIVE);
+        e.u8(codec::TAG_REG2_SMOOTHNESS);
         e.u64(self.t as u64);
         e.f64_slice(&self.last_vartheta);
         e.f64_slice(&self.last_theta);
         codec::put_tree(&mut e, &self.tree_xy.export_state());
         codec::put_tree(&mut e, &self.tree_xx.export_state());
+        codec::put_opt_f64(&mut e, self.lift_smoothness);
         Ok(())
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        let layout = codec::expect_tree_tag(
+        let (tag, layout) = codec::expect_tree_tag(
             &mut d,
-            codec::TAG_REG2_LIVE,
-            codec::TAG_REG2,
+            &[
+                (codec::TAG_REG2_SMOOTHNESS, TreeLayout::Live),
+                (codec::TAG_REG2_LIVE, TreeLayout::Live),
+                (codec::TAG_REG2, TreeLayout::Full),
+            ],
             "priv-inc-reg-2",
         )?;
         let t = d.u64()? as usize;
@@ -522,7 +538,21 @@ impl IncrementalMechanism for PrivIncReg2 {
         let last_theta = d.f64_vec()?;
         let xy = layout.take(&mut d)?;
         let xx = layout.take(&mut d)?;
+        let smoothness =
+            if tag == codec::TAG_REG2_SMOOTHNESS { codec::take_opt_f64(&mut d)? } else { None };
         d.finish()?;
+        if let Some(l) = smoothness {
+            let (lo, hi) = smoothness_bracket(&self.sketch);
+            // Written negated so that NaN, which fails every comparison,
+            // is refused too; `hi` is finite, so infinities are as well.
+            if !(l > 0.0 && lo <= l && l <= hi) {
+                return Err(CoreError::InvalidState {
+                    reason: format!(
+                        "carried lift smoothness {l:e} is outside [{lo:e}, {hi:e}] for this sketch"
+                    ),
+                });
+            }
+        }
         if t > self.t_max {
             return Err(CoreError::InvalidState {
                 reason: format!("t = {t} exceeds horizon T = {}", self.t_max),
@@ -564,6 +594,7 @@ impl IncrementalMechanism for PrivIncReg2 {
         self.t = t;
         self.last_vartheta.copy_from_slice(&last_vartheta);
         self.last_theta.copy_from_slice(&last_theta);
+        self.lift_smoothness = smoothness;
         Ok(())
     }
 }
@@ -626,6 +657,21 @@ mod tests {
         for z in &points[7..] {
             assert_eq!(live.observe(z).unwrap(), restored.observe(z).unwrap());
         }
+    }
+
+    #[test]
+    fn lift_smoothness_is_computed_at_the_first_step() {
+        let d = 30;
+        let mut rng = NoiseRng::seed_from_u64(8);
+        let config = PrivIncReg2Config { m_override: Some(7), ..Default::default() };
+        let mut mech =
+            PrivIncReg2::new(Box::new(L1Ball::unit(d)), 2.0, 8, &params(), &mut rng, config)
+                .unwrap();
+        assert_eq!(mech.lift_smoothness, None, "construction runs no power iteration");
+        let mut out = vec![0.0; 2 * d];
+        mech.observe_batch_into(&sparse_stream(2, d, 3, 4), &mut out).unwrap();
+        let expected = crate::lift::sketch_smoothness(mech.sketch()).to_bits();
+        assert_eq!(mech.lift_smoothness.map(f64::to_bits), Some(expected));
     }
 
     #[test]

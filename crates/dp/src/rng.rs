@@ -12,9 +12,8 @@
 //! `rand_distr`): one `u64` yields both the layer index and the abscissa,
 //! so ~98.8% of draws cost one table lookup, one multiply, and one compare.
 //! The tail beyond the rightmost layer boundary falls back to Marsaglia's
-//! exponential method. [`NoiseRng::standard_gaussian_box_muller`] keeps the
-//! previous polar Box–Muller sampler as a cross-validation and benchmark
-//! reference. Laplace uses inverse-CDF sampling.
+//! exponential method (`tests/ziggurat_stats.rs` cross-validates it
+//! against a polar Box–Muller oracle). Laplace uses inverse-CDF sampling.
 
 use std::sync::OnceLock;
 
@@ -287,22 +286,6 @@ impl NoiseRng {
         core_gaussian(&mut self.inner.s, zig_tables())
     }
 
-    /// Standard normal deviate by the polar Box–Muller method — the
-    /// pre-ziggurat sampler, kept as an independent reference for the
-    /// statistical cross-validation tests and the `noise` benchmark.
-    /// (Unlike the cached-spare variant it discards the second deviate of
-    /// each accepted pair, so it is stateless.)
-    pub fn standard_gaussian_box_muller(&mut self) -> f64 {
-        loop {
-            let u = 2.0 * self.take_f64() - 1.0;
-            let v = 2.0 * self.take_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
-
     /// Gaussian deviate `N(mu, sigma²)`.
     ///
     /// # Panics
@@ -552,26 +535,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
         assert!((var - 9.0).abs() < 0.2, "var {var}");
-    }
-
-    #[test]
-    fn box_muller_reference_moments_agree_with_ziggurat() {
-        let n = 200_000;
-        let mut zig = NoiseRng::seed_from_u64(17);
-        let mut bm = NoiseRng::seed_from_u64(18);
-        let (mut mz, mut mb, mut vz, mut vb) = (0.0, 0.0, 0.0, 0.0);
-        for _ in 0..n {
-            let z = zig.standard_gaussian();
-            let b = bm.standard_gaussian_box_muller();
-            mz += z;
-            mb += b;
-            vz += z * z;
-            vb += b * b;
-        }
-        let (mz, mb) = (mz / n as f64, mb / n as f64);
-        let (vz, vb) = (vz / n as f64 - mz * mz, vb / n as f64 - mb * mb);
-        assert!((mz - mb).abs() < 0.02, "means diverge: {mz} vs {mb}");
-        assert!((vz - vb).abs() < 0.03, "variances diverge: {vz} vs {vb}");
     }
 
     #[test]

@@ -146,4 +146,38 @@ fn engine_observe_path_is_allocation_free_in_steady_state() {
     let theta = engine.observe(1, &z1).unwrap();
     assert!(total_heap_events() > before, "allocating path should allocate the release");
     assert_eq!(theta.len(), d1);
+
+    first_reg2_step_allocates_nothing(&params, &z2);
+}
+
+/// The first `PrivIncReg2` step computes the lift smoothness (a power
+/// iteration over the sketch; neither construction nor a restore runs
+/// it), so that step must be allocation-free too: after `new`, and after
+/// loading a tag-6 blob, which carries no smoothness.
+fn first_reg2_step_allocates_nothing(params: &PrivacyParams, z: &DataPoint) {
+    let d = z.x.len();
+    let spawn = || {
+        let mut rng = NoiseRng::seed_from_u64(11);
+        let config = PrivIncReg2Config { m_override: Some(10), ..Default::default() };
+        PrivIncReg2::new(Box::new(L1Ball::unit(d)), 1.0, 64, params, &mut rng, config).unwrap()
+    };
+    let mut release = vec![0.0; d];
+    let mut first_step = |mech: &mut PrivIncReg2, label: &str| {
+        let before = total_heap_events();
+        mech.observe_into(z, &mut release).unwrap();
+        let events = total_heap_events() - before;
+        assert_eq!(events, 0, "first PrivIncReg2 step {label} performed {events} heap allocations");
+    };
+    let mut fresh = spawn();
+    first_step(&mut fresh, "after new");
+
+    // Tag 7 is the tag-6 body, a presence byte and the f64 bits.
+    let mut blob = Vec::new();
+    fresh.save_state(&mut blob).unwrap();
+    assert_eq!(blob[blob.len() - 9], 1, "one step carries the smoothness");
+    blob.truncate(blob.len() - 9);
+    blob[0] = 6;
+    let mut restored = spawn();
+    restored.load_state(&blob).unwrap();
+    first_step(&mut restored, "after loading a tag-6 blob");
 }

@@ -6,6 +6,7 @@
 
 mod common;
 
+use private_incremental_regression::core::lift::smoothness_bracket;
 use private_incremental_regression::core::CoreError;
 use private_incremental_regression::prelude::*;
 use proptest::prelude::*;
@@ -47,33 +48,37 @@ fn deep_blob() -> Vec<u8> {
     snapshot_after(11)
 }
 
-/// Where a version-2 snapshot's state length field sits: after the
-/// 12-byte header, the eight fixed body fields and the spec.
-fn state_field(blob: &[u8]) -> usize {
-    let spec_at = 12 + 8 * 8;
-    spec_at + 4 + u32::from_le_bytes(blob[spec_at..spec_at + 4].try_into().unwrap()) as usize
-}
-
 /// `real_blob` as a build before the live-level tree layout wrote it:
 /// the same snapshot around the full-level mechanism state blob.
 fn full_level_blob() -> Vec<u8> {
     let blob = real_blob();
-    let at = state_field(&blob);
-    let state = common::full_level_state(&blob[at + 4..blob.len() - 4], 16);
-    let mut out = blob[..at].to_vec();
-    out.extend_from_slice(&(state.len() as u32).to_le_bytes());
-    out.extend_from_slice(&state);
-    let body_len = (out.len() - 12) as u32;
-    out[8..12].copy_from_slice(&body_len.to_le_bytes());
-    out.extend_from_slice(&[0; 4]);
-    refix_crc(&mut out);
-    out
+    common::with_snapshot_state(&blob, &common::full_level_state(common::snapshot_state(&blob), 16))
+}
+
+/// A snapshot of a `PRIVINCREG2` session (d = 4, m = 3, T = 16) after 11
+/// points: its state blob ends with the carried lift smoothness.
+fn reg2_blob() -> Vec<u8> {
+    let mut engine =
+        ShardedEngine::new(EngineConfig { num_shards: 1, seed: SEED, parallel: false }).unwrap();
+    engine.spawn_session(SESSION, &reg2_spec(), 16, &params()).unwrap();
+    for t in 0..11 {
+        engine.observe(SESSION, &point(4, t)).unwrap();
+    }
+    engine.with_session(SESSION, |s| s.snapshot().unwrap()).unwrap()
+}
+
+fn reg2_spec() -> MechanismSpec {
+    MechanismSpec::Reg2 {
+        set: SetSpec::unit_l1(4),
+        domain_width: 1.0,
+        config: PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() },
+    }
 }
 
 /// Every blob the sweeps corrupt: the shallow session, the deep one,
-/// and the full-level form of the shallow one.
-fn sweep_blobs() -> [Vec<u8>; 3] {
-    [real_blob(), deep_blob(), full_level_blob()]
+/// the full-level form of the shallow one, and a `PRIVINCREG2` session.
+fn sweep_blobs() -> [Vec<u8>; 4] {
+    [real_blob(), deep_blob(), full_level_blob(), reg2_blob()]
 }
 
 /// Restore must answer every corruption with `Err`, never a panic. The
@@ -179,21 +184,22 @@ fn every_truncation_prefix_is_a_typed_error() {
 // ---------------------------------------------------------------------------
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(576))]
+    #![proptest_config(ProptestConfig::with_cases(768))]
 
     /// Flip any single bit anywhere in the blob: restore must fail with
     /// a typed error (the CRC covers header and body, and header fields
     /// are validated before the CRC is even checked).
     #[test]
     fn every_bit_flip_is_detected(
-        which in 0usize..3,
+        which in 0usize..4,
         byte_frac in 0.0f64..1.0,
         bit in 0usize..8,
     ) {
         let mut blob = match which {
             0 => real_blob(),
             1 => deep_blob(),
-            _ => full_level_blob(),
+            2 => full_level_blob(),
+            _ => reg2_blob(),
         };
         let idx = ((blob.len() as f64) * byte_frac) as usize;
         let idx = idx.min(blob.len() - 1);
@@ -436,5 +442,79 @@ fn mechanism_blob_truncations_and_bit_flips_are_typed() {
             let r = mech.load_state(&bad);
             assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
         }
+    }
+}
+
+/// A fresh `PRIVINCREG2` (d = 4, m = 3, T = 16) and its state blob after
+/// 11 points, which carries the lift smoothness.
+fn reg2_state() -> (PrivIncReg2, Vec<u8>) {
+    let spawn = || {
+        let mut rng = NoiseRng::seed_from_u64(SEED);
+        let config =
+            PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() };
+        PrivIncReg2::new(Box::new(L1Ball::unit(4)), 1.0, T_MAX, &params(), &mut rng, config)
+            .unwrap()
+    };
+    let mut mech = spawn();
+    for t in 0..11 {
+        mech.observe(&point(4, t)).unwrap();
+    }
+    let mut blob = Vec::new();
+    mech.save_state(&mut blob).unwrap();
+    (spawn(), blob)
+}
+
+/// A carried smoothness that is not finite, not positive, outside the
+/// `O(m·d)` bracket the re-sampled sketch allows, or behind a presence
+/// byte other than 0 or 1 is `InvalidState` — and leaves the mechanism
+/// as it was.
+#[test]
+fn forged_carried_smoothness_is_invalid_state() {
+    let (mut mech, blob) = reg2_state();
+    let at = blob.len() - 8;
+    assert_eq!(blob[at - 1], 1, "the blob carries a value");
+    let carried = f64::from_bits(u64::from_le_bytes(blob[at..].try_into().unwrap()));
+    let (lo, hi) = smoothness_bracket(mech.sketch());
+    assert!(lo <= carried && carried <= hi);
+    for forged in
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -carried, lo / 2.0, 2.0 * hi]
+    {
+        let mut bad = blob.clone();
+        bad[at..].copy_from_slice(&forged.to_bits().to_le_bytes());
+        assert!(is_invalid_state(mech.load_state(&bad)), "carried {forged:e}");
+        assert_eq!(mech.t(), 0, "a refused blob left state behind");
+    }
+    for presence in [2u8, 0x80, 0xFF] {
+        let mut bad = blob.clone();
+        bad[at - 1] = presence;
+        assert!(is_invalid_state(mech.load_state(&bad)), "presence byte {presence}");
+    }
+    // "Absent", yet the value's bytes follow: trailing bytes.
+    let mut bad = blob.clone();
+    bad[at - 1] = 0;
+    assert!(is_invalid_state(mech.load_state(&bad)));
+    mech.load_state(&blob).unwrap();
+    assert_eq!(mech.t(), 11);
+}
+
+/// Every prefix of a `PRIVINCREG2` blob in each layout the reader takes
+/// (tag 7, and the tag 6 and full-level tag 2 of earlier builds) is
+/// `InvalidState`, and every single-bit flip either loads or is
+/// `InvalidState`.
+#[test]
+fn reg2_blob_truncations_and_bit_flips_are_typed() {
+    let (mut mech, blob) = reg2_state();
+    let live = common::without_smoothness(&blob);
+    for bytes in [blob.clone(), common::full_level_state(&live, T_MAX), live] {
+        for cut in 0..bytes.len() {
+            assert!(is_invalid_state(mech.load_state(&bytes[..cut])), "prefix of {cut} bytes");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let r = mech.load_state(&bad);
+            assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
+        }
+        mech.load_state(&bytes).unwrap();
     }
 }

@@ -12,6 +12,8 @@
 
 mod common;
 
+use private_incremental_regression::core::codec::{self, Dec};
+use private_incremental_regression::core::lift::sketch_smoothness;
 use private_incremental_regression::prelude::*;
 use proptest::prelude::*;
 
@@ -242,17 +244,138 @@ proptest! {
     }
 }
 
+/// A `PRIVINCREG2` built from `seed` over the unit `ℓ₁` ball in `R^d`
+/// with sketch dimension `m`.
+fn reg2(d: usize, m: usize, t_max: usize, seed: u64) -> PrivIncReg2 {
+    let mut rng = NoiseRng::seed_from_u64(seed);
+    let config = PrivIncReg2Config { m_override: Some(m), lift_iters: 40, ..Default::default() };
+    PrivIncReg2::new(Box::new(L1Ball::unit(d)), 1.0, t_max, &params(), &mut rng, config).unwrap()
+}
+
+/// The lift smoothness bits a `PRIVINCREG2` state blob carries: the
+/// field after the trees, where the tag-6 form of the blob ends.
+fn carried_smoothness(state: &[u8]) -> Option<u64> {
+    let mut d = Dec::new(&state[common::without_smoothness(state).len()..]);
+    codec::take_opt_f64(&mut d).unwrap().map(f64::to_bits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `PRIVINCREG2` snapshots carry the lift smoothness: restored at any
+    /// cut, the session continues bit-identically, and the carried bits
+    /// are the power-iteration value of the re-sampled sketch (absent
+    /// only before the first step, which computes it).
+    #[test]
+    fn reg2_carried_smoothness_restores_bit_identically(
+        seed in 0u64..1_000_000,
+        d in 2usize..9,
+        m_frac in 0.0f64..1.0,
+        t_max in 2usize..13,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let m = 1 + ((d as f64) * m_frac) as usize % d;
+        let cut = ((t_max as f64) * cut_frac) as usize;
+        let mut live = reg2(d, m, t_max, seed);
+        for t in 0..cut {
+            live.observe(&point(d, t, 1)).unwrap();
+        }
+        let mut blob = Vec::new();
+        live.save_state(&mut blob).unwrap();
+        prop_assert_eq!(blob[0], codec::TAG_REG2_SMOOTHNESS);
+        let mut restored = reg2(d, m, t_max, seed);
+        restored.load_state(&blob).unwrap();
+        let expected = sketch_smoothness(restored.sketch()).to_bits();
+        prop_assert_eq!(carried_smoothness(&blob), (cut > 0).then_some(expected));
+        for t in cut..t_max {
+            let z = point(d, t, 1);
+            let a: Vec<u64> = live.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = restored.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(a, b, "diverged at t = {} (cut at {})", t, cut);
+        }
+    }
+}
+
+/// A restored session steps with the smoothness its snapshot carries; it
+/// does not recompute it. Rewriting the carried value to another one
+/// inside the accepted bracket still restores, and the next release
+/// moves; the honest snapshot's does not.
+#[test]
+fn reg2_restore_uses_the_carried_smoothness() {
+    let spec = MechanismSpec::Reg2 {
+        set: SetSpec::unit_l1(6),
+        domain_width: 1.0,
+        config: PrivIncReg2Config { m_override: Some(3), ..Default::default() },
+    };
+    let (seed, sid, t_max) = (5, 12, 12);
+    let mut engine = fresh_engine(1, seed);
+    engine.spawn_session(sid, &spec, t_max, &params()).unwrap();
+    for t in 0..5 {
+        engine.observe(sid, &point(6, t, sid)).unwrap();
+    }
+    let blob = engine.with_session(sid, |s| s.snapshot().unwrap()).unwrap();
+    let state = common::snapshot_state(&blob);
+    let carried = f64::from_bits(carried_smoothness(state).unwrap());
+    let mut forged_state = state.to_vec();
+    let at = forged_state.len() - 8;
+    forged_state[at..].copy_from_slice(&(1.5 * carried).to_bits().to_le_bytes());
+    let forged = common::with_snapshot_state(&blob, &forged_state);
+
+    let z = point(6, 5, sid);
+    let bits = |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    let live = bits(engine.observe(sid, &z).unwrap());
+    let honest = bits(StreamSession::restore(&blob, seed).unwrap().observe(&z).unwrap());
+    let moved = bits(StreamSession::restore(&forged, seed).unwrap().observe(&z).unwrap());
+    assert_eq!(honest, live);
+    assert_ne!(moved, live, "the forged smoothness was not used");
+}
+
+/// `PIRS` snapshots whose `PRIVINCREG2` state was written by earlier
+/// builds (tag 6, and full-level tag 2) still restore through
+/// `StreamSession::restore` and continue bit-identically: the first step
+/// recomputes the smoothness they do not carry.
+#[test]
+fn reg2_snapshots_of_earlier_builds_restore_bit_identically() {
+    let spec = MechanismSpec::reg2_l1(4, 1.0);
+    let (seed, sid, t_max, cut) = (23, 8, 12, 6);
+    let mut engine = fresh_engine(1, seed);
+    engine.spawn_session(sid, &spec, t_max, &params()).unwrap();
+    for t in 0..cut {
+        engine.observe(sid, &point(4, t, sid)).unwrap();
+    }
+    let blob = engine.with_session(sid, |s| s.snapshot().unwrap()).unwrap();
+    let live_state = common::without_smoothness(common::snapshot_state(&blob));
+    let mut replicas: Vec<StreamSession> =
+        [live_state.clone(), common::full_level_state(&live_state, t_max)]
+            .iter()
+            .map(|state| {
+                StreamSession::restore(&common::with_snapshot_state(&blob, state), seed).unwrap()
+            })
+            .collect();
+    for t in cut..t_max {
+        let z = point(4, t, sid);
+        let live: Vec<u64> = engine.observe(sid, &z).unwrap().iter().map(|v| v.to_bits()).collect();
+        for replica in &mut replicas {
+            let back: Vec<u64> = replica.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(live, back, "earlier-build snapshot diverged at t = {t}");
+        }
+    }
+}
+
 /// Golden pins of the mechanism state codec: the exact length and CRC-32
 /// of each snapshot-capable mechanism's `save_state` blob after a fixed
 /// seeded stream. Any change to the byte layout of the dynamic state —
 /// field order, widths, the tree encoding — moves one of these numbers,
 /// so a codec refactor that claims "bytes unchanged" is held to it.
 ///
-/// The tree mechanisms write the live-level layout. Their full-level
-/// blobs from earlier builds keep their old pins (849 and 1425 bytes):
-/// `common::full_level_state` rebuilds those exact bytes from the live
-/// blob, and a fresh mechanism that loads them continues the stream
-/// bit-identically and re-saves the live blob byte for byte.
+/// The tree mechanisms write the live-level layout, and `PRIVINCREG2`
+/// appends the carried lift smoothness (tag 7). The layouts of earlier
+/// builds keep their old pins: the full-level blobs (849 and 1425 bytes)
+/// and the `PRIVINCREG2` blob without the smoothness (657 bytes, tag 6).
+/// `common` rebuilds those exact bytes from the current blob; a fresh
+/// mechanism that loads them continues the stream bit-identically and
+/// re-saves the current layout (for `PRIVINCREG2`, with no smoothness
+/// carried yet, because nothing has computed it).
 #[test]
 fn mechanism_state_blobs_are_byte_pinned() {
     let build = || -> Vec<(&str, Box<dyn IncrementalMechanism>)> {
@@ -285,9 +408,9 @@ fn mechanism_state_blobs_are_byte_pinned() {
             ("trivial d=2", Box::new(TrivialMechanism::new(&L2Ball::unit(2)))),
         ]
     };
-    let (mut mechs, mut fresh) = (build(), build());
-    let (mut pins, mut full_pins) = (Vec::new(), Vec::new());
-    for ((name, mech), (_, restored)) in mechs.iter_mut().zip(&mut fresh) {
+    let mut mechs = build();
+    let (mut pins, mut legacy_pins) = (Vec::new(), Vec::new());
+    for (i, (name, mech)) in mechs.iter_mut().enumerate() {
         let d = mech.dim();
         for t in 0..5 {
             mech.observe(&point(d, t, 3)).unwrap();
@@ -298,30 +421,53 @@ fn mechanism_state_blobs_are_byte_pinned() {
         if !name.starts_with("reg") {
             continue;
         }
-        let full = common::full_level_state(&blob, 16);
-        full_pins.push((*name, full.len(), pir_engine::wal::crc32(&full)));
-        restored.load_state(&full).unwrap();
-        let mut resaved = Vec::new();
-        restored.save_state(&mut resaved).unwrap();
-        assert_eq!(resaved, blob, "{name}: a full-level blob re-saves as the live blob");
+        let reg2 = name.starts_with("reg2");
+        // The current layout with the carried smoothness dropped: tag 6
+        // for reg2, the blob itself for reg1.
+        let live = if reg2 { common::without_smoothness(&blob) } else { blob.clone() };
+        let mut legacy = vec![common::full_level_state(&live, 16)];
+        if reg2 {
+            legacy.insert(0, live.clone());
+        }
+        let mut replicas = Vec::new();
+        for old in legacy {
+            legacy_pins.push((*name, old.len(), pir_engine::wal::crc32(&old)));
+            let (_, mut restored) = build().swap_remove(i);
+            restored.load_state(&old).unwrap();
+            let mut resaved = Vec::new();
+            restored.save_state(&mut resaved).unwrap();
+            if reg2 {
+                assert_eq!(resaved.last(), Some(&0), "{name}: no smoothness carried yet");
+                assert_eq!(common::without_smoothness(&resaved), live, "{name}: re-save");
+            } else {
+                assert_eq!(resaved, blob, "{name}: a full-level blob re-saves as the live blob");
+            }
+            replicas.push(restored);
+        }
         for t in 5..16 {
             let z = point(d, t, 3);
             let live: Vec<u64> = mech.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
-            let back: Vec<u64> =
-                restored.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(live, back, "{name}: full-level restore diverged at t = {t}");
+            for restored in &mut replicas {
+                let back: Vec<u64> =
+                    restored.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(live, back, "{name}: legacy-layout restore diverged at t = {t}");
+            }
         }
     }
     assert_eq!(
-        full_pins,
-        vec![("reg1 d=2", 849, 0xD4CD_9BD7), ("reg2 d=4 m=3", 1425, 0x3314_D250)],
-        "the test-side full-level encoder no longer writes the old layout"
+        legacy_pins,
+        vec![
+            ("reg1 d=2", 849, 0xD4CD_9BD7),
+            ("reg2 d=4 m=3", 657, 0x95CE_505C),
+            ("reg2 d=4 m=3", 1425, 0x3314_D250),
+        ],
+        "the test-side encoders no longer write the old layouts"
     );
     assert_eq!(
         pins,
         vec![
             ("reg1 d=2", 369, 0x61AA_83E3),
-            ("reg2 d=4 m=3", 657, 0x95CE_505C),
+            ("reg2 d=4 m=3", 666, 0x6E97_5DA6),
             ("exact d=2", 105, 0x6991_3C2E),
             ("trivial d=2", 9, 0x9764_260F),
         ],
