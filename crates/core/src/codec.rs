@@ -21,24 +21,18 @@
 //! is never absorbed by another. Vectors are a `u64` count then the
 //! `f64`s; trees are written by [`put_tree`] in the live-level layout.
 //!
-//! The tag also names the layout. Readers grow backwards and writers
-//! stay current: `save_state` writes only [`TAG_REG1_LIVE`] /
-//! [`TAG_REG2_SMOOTHNESS`], while `load_state` still accepts the
-//! full-level [`TAG_REG1`] / [`TAG_REG2`] blobs and the
-//! [`TAG_REG2_LIVE`] blobs of earlier builds (spilled sessions and
-//! checkpoint manifests outlive upgrades). Full-level trees are converted
-//! to the live form on read ([`TreeLayout::take`]); a Reg2 blob without
-//! the carried lift smoothness leaves it to be recomputed.
+//! Readers keep a one-build window: a build reads what it writes and
+//! what the build before it wrote, and refuses everything else with a
+//! typed error. Each tag is one layout, and `load_state` accepts exactly
+//! the tag `save_state` writes.
 
 use crate::error::CoreError;
 use pir_continual::TreeState;
 
-/// Blob tag for [`crate::PrivIncReg1`] state with full-level trees
-/// (every level of `a` and `b` written). Read, never written.
-pub const TAG_REG1: u8 = 1;
-/// Blob tag for [`crate::PrivIncReg2`] state with full-level trees.
-/// Read, never written.
-pub const TAG_REG2: u8 = 2;
+// Tag values 1 and 2 (full-level Reg1/Reg2 trees) and 6 (Reg2 without
+// the lift smoothness) are retired. They must never be reused, so that
+// an old blob is refused rather than misread.
+
 /// Blob tag for [`crate::TrivialMechanism`] state.
 pub const TAG_TRIVIAL: u8 = 3;
 /// Blob tag for [`crate::ExactIncremental`] state.
@@ -46,9 +40,6 @@ pub const TAG_EXACT: u8 = 4;
 /// Blob tag for [`crate::PrivIncReg1`] state with live-level trees
 /// ([`put_tree`]).
 pub const TAG_REG1_LIVE: u8 = 5;
-/// Blob tag for [`crate::PrivIncReg2`] state with live-level trees
-/// ([`put_tree`]) and no lift smoothness. Read, never written.
-pub const TAG_REG2_LIVE: u8 = 6;
 /// Blob tag for [`crate::PrivIncReg2`] state with live-level trees
 /// followed by the lift smoothness `2‖Φ‖²` as a [`put_opt_f64`] field.
 pub const TAG_REG2_SMOOTHNESS: u8 = 7;
@@ -361,19 +352,14 @@ pub fn put_tree(e: &mut Enc<'_>, tree: &TreeState) {
 /// job.
 pub fn take_tree(d: &mut Dec<'_>) -> Result<TreeState, CodecError> {
     let t = d.u64()? as usize;
-    let rng = take_rng(d)?;
-    let dim = usize::try_from(d.u64()?).unwrap_or(usize::MAX);
-    let live = d.f64s(dim.saturating_mul(2 * t.count_ones() as usize))?;
-    let s = d.f64s(dim)?;
-    Ok(TreeState { t, live, s, rng })
-}
-
-fn take_rng(d: &mut Dec<'_>) -> Result<[u64; 4], CodecError> {
     let mut rng = [0u64; 4];
     for w in rng.iter_mut() {
         *w = d.u64()?;
     }
-    Ok(rng)
+    let dim = usize::try_from(d.u64()?).unwrap_or(usize::MAX);
+    let live = d.f64s(dim.saturating_mul(2 * t.count_ones() as usize))?;
+    let s = d.f64s(dim)?;
+    Ok(TreeState { t, live, s, rng })
 }
 
 /// Append an optional `f64`: a presence byte, `0` for `None` and `1` for
@@ -401,91 +387,6 @@ pub fn take_opt_f64(d: &mut Dec<'_>) -> Result<Option<f64>, CoreError> {
             reason: format!("presence byte {found} is neither 0 nor 1"),
         }),
     }
-}
-
-/// Read a tree in the full-level layout of [`TAG_REG1`]/[`TAG_REG2`]
-/// blobs — `t`, the generator words, the `a` rows and the `b` rows (each
-/// a `u64` level count and that many `u64`-counted vectors), then the
-/// `u64`-counted release — and convert it to the live form.
-///
-/// # Errors
-/// [`CoreError::InvalidState`] on truncation, on `a` and `b` level counts
-/// or row dimensions that disagree, on a set bit of `t` with no level
-/// behind it, and on any row outside the bits of `t` that is not all
-/// `+0.0` bits (such a row is not a state the tree can reach, and the
-/// live form would silently drop it).
-fn take_full_tree(d: &mut Dec<'_>) -> Result<TreeState, CoreError> {
-    let t = d.u64()? as usize;
-    let rng = take_rng(d)?;
-    let mut levels = || -> Result<Vec<Vec<f64>>, CodecError> {
-        let n = d.count(8)?;
-        (0..n).map(|_| d.f64_vec()).collect()
-    };
-    let a = levels()?;
-    let b = levels()?;
-    let s = d.f64_vec()?;
-    let invalid = |reason: String| CoreError::InvalidState { reason };
-    if a.len() != b.len() {
-        return Err(invalid(format!("level counts disagree (a: {}, b: {})", a.len(), b.len())));
-    }
-    let mut live = Vec::new();
-    for (j, (aj, bj)) in a.iter().zip(&b).enumerate() {
-        if aj.len() != s.len() || bj.len() != s.len() {
-            return Err(invalid(format!("level {j} rows are not {}-vectors", s.len())));
-        }
-        if t.checked_shr(j as u32).is_some_and(|bits| bits & 1 == 1) {
-            live.extend_from_slice(aj);
-            live.extend_from_slice(bj);
-        } else if aj.iter().chain(bj).any(|x| x.to_bits() != 0) {
-            return Err(invalid(format!("level {j} is outside t = {t} but not +0.0")));
-        }
-    }
-    if live.len() != 2 * t.count_ones() as usize * s.len() {
-        return Err(invalid(format!("t = {t} has a set bit at or above level {}", a.len())));
-    }
-    Ok(TreeState { t, live, s, rng })
-}
-
-/// The tree layout a Reg1/Reg2 state blob's tag selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TreeLayout {
-    /// Live levels only ([`put_tree`]); what `save_state` writes.
-    Live,
-    /// Every level, as written by earlier builds; read-only.
-    Full,
-}
-
-impl TreeLayout {
-    /// Read one tree in this layout, as a live-form [`TreeState`].
-    ///
-    /// # Errors
-    /// [`CoreError::InvalidState`] on truncation, and for the full layout
-    /// on the rows [`TreeLayout::Full`] cannot convert.
-    pub fn take(self, d: &mut Dec<'_>) -> Result<TreeState, CoreError> {
-        match self {
-            TreeLayout::Live => Ok(take_tree(d)?),
-            TreeLayout::Full => take_full_tree(d),
-        }
-    }
-}
-
-/// Read a tree mechanism's state-blob tag, one of `tags`, and return it
-/// with the tree layout it selects.
-///
-/// # Errors
-/// [`CoreError::InvalidState`] on truncation or any other tag.
-pub fn expect_tree_tag(
-    d: &mut Dec<'_>,
-    tags: &[(u8, TreeLayout)],
-    mechanism: &str,
-) -> Result<(u8, TreeLayout), CoreError> {
-    let found = d.u8()?;
-    tags.iter().copied().find(|&(tag, _)| tag == found).ok_or_else(|| {
-        let known: Vec<u8> = tags.iter().map(|&(tag, _)| tag).collect();
-        CoreError::InvalidState {
-            reason: format!("state blob tag {found} is not one of {mechanism}'s tags {known:?}"),
-        }
-    })
 }
 
 /// Read a state blob's leading mechanism tag and check it is `tag`.
@@ -580,21 +481,6 @@ mod tests {
         }
     }
 
-    /// A tree in the full-level layout, with the given `a` and `b` rows.
-    fn put_full_tree(e: &mut Enc<'_>, a: &[Vec<f64>], b: &[Vec<f64>], tree: &TreeState) {
-        e.u64(tree.t as u64);
-        for w in tree.rng {
-            e.u64(w);
-        }
-        for rows in [a, b] {
-            e.u64(rows.len() as u64);
-            for row in rows {
-                e.f64_slice(row);
-            }
-        }
-        e.f64_slice(&tree.s);
-    }
-
     #[test]
     fn tree_state_roundtrip() {
         let tree = live_tree();
@@ -602,7 +488,7 @@ mod tests {
         put_tree(&mut Enc::new(&mut buf), &tree);
         assert_eq!(buf.len(), 8 + 32 + 8 + 8 * 8 + 2 * 8, "no counts, no dead rows");
         let mut d = Dec::new(&buf);
-        assert_eq!(TreeLayout::Live.take(&mut d).unwrap(), tree);
+        assert_eq!(take_tree(&mut d).unwrap(), tree);
         d.finish().unwrap();
         // Every strict prefix is a truncation, never a shorter tree.
         for cut in 0..buf.len() {
@@ -611,56 +497,16 @@ mod tests {
     }
 
     #[test]
-    fn full_level_trees_convert_to_the_live_form() {
-        let tree = live_tree();
-        let a = vec![vec![1.0, 2.0], vec![0.0; 2], vec![3.0, 4.0], vec![0.0; 2]];
-        let b = vec![vec![-1.0, 0.5], vec![0.0; 2], vec![0.0, 9.0], vec![0.0; 2]];
-        let full = |a: &[Vec<f64>], b: &[Vec<f64>], tree: &TreeState| {
-            let mut buf = Vec::new();
-            put_full_tree(&mut Enc::new(&mut buf), a, b, tree);
-            buf
-        };
-        let buf = full(&a, &b, &tree);
-        let mut d = Dec::new(&buf);
-        assert_eq!(TreeLayout::Full.take(&mut d).unwrap(), tree);
-        d.finish().unwrap();
-
-        let refused = |a: &[Vec<f64>], b: &[Vec<f64>], tree: &TreeState| {
-            let buf = full(a, b, tree);
-            matches!(
-                TreeLayout::Full.take(&mut Dec::new(&buf)),
-                Err(CoreError::InvalidState { .. })
-            )
-        };
-        // A dead row that is not +0.0 bits: -0.0 and a stray value alike.
-        let mut bad = b.clone();
-        bad[1][0] = -0.0;
-        assert!(refused(&a, &bad, &tree));
-        let mut bad = a.clone();
-        bad[3][1] = 1e-300;
-        assert!(refused(&bad, &b, &tree));
-        // A set bit of t with no level behind it.
-        assert!(refused(&a[..2], &b[..2], &tree));
-        // Level counts or row dimensions that disagree.
-        assert!(refused(&a, &b[..3], &tree));
-        let mut bad = a.clone();
-        bad[1] = vec![0.0; 3];
-        assert!(refused(&bad, &b, &tree));
-        // Truncation.
-        for cut in 0..buf.len() {
-            assert!(TreeLayout::Full.take(&mut Dec::new(&buf[..cut])).is_err(), "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn tree_tags_select_the_layout() {
-        let tags = [(TAG_REG1_LIVE, TreeLayout::Live), (TAG_REG1, TreeLayout::Full)];
-        let tag = |b: u8| expect_tree_tag(&mut Dec::new(&[b]), &tags, "reg1");
-        assert_eq!(tag(TAG_REG1_LIVE).unwrap(), (TAG_REG1_LIVE, TreeLayout::Live));
-        assert_eq!(tag(TAG_REG1).unwrap(), (TAG_REG1, TreeLayout::Full));
-        for other in [TAG_REG2, TAG_TRIVIAL, TAG_EXACT, TAG_REG2_LIVE, TAG_REG2_SMOOTHNESS, 0, 99] {
+    fn retired_and_foreign_tags_are_refused() {
+        let tag = |b: u8| expect_tag(&mut Dec::new(&[b]), TAG_REG1_LIVE, "reg1");
+        tag(TAG_REG1_LIVE).unwrap();
+        for other in [1, 2, 6, TAG_TRIVIAL, TAG_EXACT, TAG_REG2_SMOOTHNESS, 0, 99] {
             assert!(matches!(tag(other), Err(CoreError::InvalidState { .. })), "tag {other}");
         }
+        assert!(matches!(
+            expect_tag(&mut Dec::new(&[]), TAG_REG1_LIVE, "reg1"),
+            Err(CoreError::InvalidState { .. })
+        ));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! output sequence is `(ε, δ)`-DP (Theorem A.3 over the two trees).
 //! Memory: `O(d² log T)` — logarithmic in the stream length.
 
-use crate::codec::{self, Dec, Enc, TreeLayout};
+use crate::codec::{self, Dec, Enc};
 use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
 use crate::error::CoreError;
 use crate::stream::IncrementalMechanism;
@@ -376,8 +376,8 @@ impl IncrementalMechanism for PrivIncReg1 {
     /// states in the live-level layout (`O(d² · popcount(t))` bytes: only
     /// the tree levels in the prefix decomposition of `t` are written).
     /// Scratch buffers are excluded: every step overwrites them before
-    /// reading, so they carry no information across steps. Loading also
-    /// accepts the full-level [`codec::TAG_REG1`] blobs of earlier builds.
+    /// reading, so they carry no information across steps. Loading reads
+    /// only [`codec::TAG_REG1_LIVE`]; any other tag is `InvalidState`.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
         e.u8(codec::TAG_REG1_LIVE);
@@ -390,15 +390,11 @@ impl IncrementalMechanism for PrivIncReg1 {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        let (_, layout) = codec::expect_tree_tag(
-            &mut d,
-            &[(codec::TAG_REG1_LIVE, TreeLayout::Live), (codec::TAG_REG1, TreeLayout::Full)],
-            "priv-inc-reg-1",
-        )?;
+        codec::expect_tag(&mut d, codec::TAG_REG1_LIVE, "priv-inc-reg-1")?;
         let t = d.u64()? as usize;
         let last_theta = d.f64_vec()?;
-        let xy = layout.take(&mut d)?;
-        let xx = layout.take(&mut d)?;
+        let xy = codec::take_tree(&mut d)?;
+        let xx = codec::take_tree(&mut d)?;
         d.finish()?;
         self.check_state(t, &last_theta, xy.t, xx.t)?;
         self.tree_xy.restore_state(&xy)?;

@@ -19,7 +19,7 @@
 //! `γ = W^{1/3}/T^{1/3}` and `W = w(X) + w(C)`, giving Theorem 5.7's
 //! `≈ T^{1/3} W^{2/3}/ε` risk. Memory: `O(m² log T + d)`.
 
-use crate::codec::{self, Dec, Enc, TreeLayout};
+use crate::codec::{self, Dec, Enc};
 use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
 use crate::error::CoreError;
 use crate::lift::{
@@ -507,9 +507,8 @@ impl IncrementalMechanism for PrivIncReg2 {
     /// `Φ` is *not* here — it is static, resampled bit-identically when
     /// the mechanism is respawned from its spec and seed — but the
     /// constant derived from it is, so a restore skips the power
-    /// iteration. Loading also accepts the [`codec::TAG_REG2_LIVE`] and
-    /// full-level [`codec::TAG_REG2`] blobs of earlier builds; they carry
-    /// no smoothness, so the next step computes it.
+    /// iteration. Loading reads only [`codec::TAG_REG2_SMOOTHNESS`]; any
+    /// other tag is `InvalidState`.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
         e.u8(codec::TAG_REG2_SMOOTHNESS);
@@ -524,22 +523,13 @@ impl IncrementalMechanism for PrivIncReg2 {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        let (tag, layout) = codec::expect_tree_tag(
-            &mut d,
-            &[
-                (codec::TAG_REG2_SMOOTHNESS, TreeLayout::Live),
-                (codec::TAG_REG2_LIVE, TreeLayout::Live),
-                (codec::TAG_REG2, TreeLayout::Full),
-            ],
-            "priv-inc-reg-2",
-        )?;
+        codec::expect_tag(&mut d, codec::TAG_REG2_SMOOTHNESS, "priv-inc-reg-2")?;
         let t = d.u64()? as usize;
         let last_vartheta = d.f64_vec()?;
         let last_theta = d.f64_vec()?;
-        let xy = layout.take(&mut d)?;
-        let xx = layout.take(&mut d)?;
-        let smoothness =
-            if tag == codec::TAG_REG2_SMOOTHNESS { codec::take_opt_f64(&mut d)? } else { None };
+        let xy = codec::take_tree(&mut d)?;
+        let xx = codec::take_tree(&mut d)?;
+        let smoothness = codec::take_opt_f64(&mut d)?;
         d.finish()?;
         if let Some(l) = smoothness {
             let (lo, hi) = smoothness_bracket(&self.sketch);

@@ -226,9 +226,7 @@ impl StreamSession {
     /// [`seed_fingerprint`](snapshot::seed_fingerprint) is therefore
     /// checked against the one `engine_seed` implies before anything is
     /// rebuilt, and a mismatch fails loudly as
-    /// [`SnapshotError::SeedMismatch`]. Legacy version-1 blobs predate
-    /// the fingerprint and restore under the old trust-the-caller
-    /// contract (see `docs/KNOWN_FAILURES.md`).
+    /// [`SnapshotError::SeedMismatch`].
     ///
     /// # Errors
     /// Any [`SnapshotError`] from decoding;
@@ -239,13 +237,9 @@ impl StreamSession {
     /// [`EngineConfig::seed`]: crate::engine::EngineConfig
     pub fn restore(bytes: &[u8], engine_seed: u64) -> Result<StreamSession, SnapshotError> {
         let snap = snapshot::decode(bytes)?;
-        // Legacy version-1 blobs carry no fingerprint (`None`) and fall
-        // back to the old trust-the-caller contract.
-        if let Some(got) = snap.seed_fingerprint {
-            let expected = snapshot::seed_fingerprint(engine_seed, snap.session_id);
-            if got != expected {
-                return Err(SnapshotError::SeedMismatch { expected, got });
-            }
+        let expected = snapshot::seed_fingerprint(engine_seed, snap.session_id);
+        if snap.seed_fingerprint != expected {
+            return Err(SnapshotError::SeedMismatch { expected, got: snap.seed_fingerprint });
         }
         let t_max = usize::try_from(snap.t_max).map_err(|_| SnapshotError::Malformed {
             reason: format!("t_max {} overflows usize", snap.t_max),

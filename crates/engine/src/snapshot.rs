@@ -57,10 +57,10 @@
 //! body surfaces as a typed structural error. Trailing bytes after the
 //! checksum are rejected.
 //!
-//! Version-1 blobs (identical layout minus the seed fingerprint field)
-//! are still decoded — readers grow backwards, writers stay current —
-//! but their fingerprint is reported as absent, so restore cannot
-//! verify the engine seed for them.
+//! Decoding keeps a one-build window: it reads the version this build
+//! writes, which is also what the build before it wrote. Version-1 blobs
+//! (no seed fingerprint) are refused as
+//! [`SnapshotError::UnsupportedVersion`].
 
 use crate::spec::MechanismSpec;
 use crate::wal::{open, seal, EnvelopeError};
@@ -70,22 +70,13 @@ use pir_core::codec::{CodecError, Dec, Enc};
 /// Magic bytes opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PIRS";
 
-/// Current snapshot format version — what every encode writes. Version
-/// 2 added the seed fingerprint field. Per the migration policy
-/// (readers grow backwards, writers stay current), the decoder still
-/// accepts [`SNAPSHOT_OLDEST_READABLE`] blobs: spilled sessions and
-/// checkpoint manifests outlive process upgrades.
+/// Snapshot format version — the only one encode writes and decode
+/// reads. Version 2 added the seed fingerprint field.
 pub const SNAPSHOT_VERSION: u8 = 2;
 
-/// Oldest snapshot version the decoder accepts. Version-1 blobs carry
-/// no seed fingerprint, so restore cannot verify the engine seed for
-/// them (the pre-fingerprint contract documented in
-/// `docs/KNOWN_FAILURES.md` applies).
-pub const SNAPSHOT_OLDEST_READABLE: u8 = 1;
-
 /// One-way fingerprint of the per-session noise seed derived from
-/// `engine_seed` and `session_id`. Stored in every version-2 snapshot
-/// and recomputed by restore from the *target* engine's seed: a mismatch
+/// `engine_seed` and `session_id`. Stored in every snapshot and
+/// recomputed by restore from the *target* engine's seed: a mismatch
 /// means the snapshot is being resumed under a different engine seed,
 /// which would silently regenerate construction-time randomness (e.g.
 /// Mechanism 2's sketch matrix) and change every release thereafter.
@@ -240,9 +231,7 @@ pub(crate) struct SnapshotBody<'a> {
 /// borrowed from the snapshot bytes.
 pub(crate) struct DecodedSnapshot<'a> {
     pub session_id: u64,
-    /// `None` for legacy version-1 blobs, which predate the field and
-    /// cannot prove what engine seed they were taken under.
-    pub seed_fingerprint: Option<u64>,
+    pub seed_fingerprint: u64,
     pub t_max: u64,
     pub t: u64,
     pub epsilon: f64,
@@ -287,25 +276,24 @@ pub(crate) fn encode_into(
 
 /// Decode a complete snapshot blob, validating everything.
 pub(crate) fn decode(bytes: &[u8]) -> Result<DecodedSnapshot<'_>, SnapshotError> {
-    let (version, body) =
-        open(bytes, SNAPSHOT_MAGIC, SNAPSHOT_OLDEST_READABLE..=SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY)
-            .map_err(|err| match err {
-                EnvelopeError::Truncated { have, need } => SnapshotError::Truncated { have, need },
-                EnvelopeError::BadMagic(got) => SnapshotError::BadMagic { got },
-                EnvelopeError::UnsupportedVersion(got) => SnapshotError::UnsupportedVersion { got },
-                EnvelopeError::NonZeroReserved => SnapshotError::NonZeroReserved,
-                EnvelopeError::TooLarge { len } => SnapshotError::BodyTooLarge { len },
-                EnvelopeError::TrailingBytes { extra } => SnapshotError::Malformed {
-                    reason: format!("{extra} trailing bytes after the checksum"),
-                },
-                EnvelopeError::ChecksumMismatch { computed, stored } => {
-                    SnapshotError::ChecksumMismatch { expected: computed, got: stored }
-                }
-            })?;
+    let opened = open(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, MAX_SNAPSHOT_BODY);
+    let body = opened.map_err(|err| match err {
+        EnvelopeError::Truncated { have, need } => SnapshotError::Truncated { have, need },
+        EnvelopeError::BadMagic(got) => SnapshotError::BadMagic { got },
+        EnvelopeError::UnsupportedVersion(got) => SnapshotError::UnsupportedVersion { got },
+        EnvelopeError::NonZeroReserved => SnapshotError::NonZeroReserved,
+        EnvelopeError::TooLarge { len } => SnapshotError::BodyTooLarge { len },
+        EnvelopeError::TrailingBytes { extra } => SnapshotError::Malformed {
+            reason: format!("{extra} trailing bytes after the checksum"),
+        },
+        EnvelopeError::ChecksumMismatch { computed, stored } => {
+            SnapshotError::ChecksumMismatch { expected: computed, got: stored }
+        }
+    })?;
 
     let mut d = Dec::new(body);
     let session_id = d.u64()?;
-    let seed_fingerprint = if version >= 2 { Some(d.u64()?) } else { None };
+    let seed_fingerprint = d.u64()?;
     let t_max = d.u64()?;
     let t = d.u64()?;
     let epsilon = d.f64()?;
@@ -378,7 +366,7 @@ mod tests {
         let blob = sample_blob();
         let d = decode(&blob).unwrap();
         assert_eq!(d.session_id, 0x1122_3344_5566_7788);
-        assert_eq!(d.seed_fingerprint, Some(seed_fingerprint(7, 0x1122_3344_5566_7788)));
+        assert_eq!(d.seed_fingerprint, seed_fingerprint(7, 0x1122_3344_5566_7788));
         assert_eq!(d.t_max, 1 << 20);
         assert_eq!(d.t, 17);
         assert_eq!(d.epsilon.to_bits(), 1.0f64.to_bits());
@@ -394,7 +382,7 @@ mod tests {
             &mut again,
             &SnapshotBody {
                 session_id: d.session_id,
-                seed_fingerprint: d.seed_fingerprint.unwrap(),
+                seed_fingerprint: d.seed_fingerprint,
                 t_max: d.t_max,
                 t: d.t,
                 epsilon: d.epsilon,
@@ -474,33 +462,6 @@ mod tests {
         blob[spec_len_at..spec_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         refix_crc(&mut blob);
         assert!(matches!(decode(&blob), Err(SnapshotError::Malformed { .. })));
-    }
-
-    /// Strip the seed fingerprint out of a v2 blob, producing the exact
-    /// layout a pre-fingerprint (version 1) build would have written.
-    fn downgrade_to_v1(blob: &[u8]) -> Vec<u8> {
-        let mut v1 = Vec::with_capacity(blob.len() - 8);
-        v1.extend_from_slice(&blob[..SNAPSHOT_HEADER_LEN + 8]);
-        v1.extend_from_slice(&blob[SNAPSHOT_HEADER_LEN + 16..]);
-        v1[4] = 1;
-        let body_len = u32::from_le_bytes([v1[8], v1[9], v1[10], v1[11]]) - 8;
-        v1[8..12].copy_from_slice(&body_len.to_le_bytes());
-        refix_crc(&mut v1);
-        v1
-    }
-
-    #[test]
-    fn legacy_version_1_blobs_still_decode() {
-        // Readers grow backwards: spilled sessions and checkpoint
-        // manifests written before the fingerprint existed must keep
-        // decoding, with the fingerprint reported as absent.
-        let v1 = downgrade_to_v1(&sample_blob());
-        let d = decode(&v1).unwrap();
-        assert_eq!(d.seed_fingerprint, None);
-        assert_eq!(d.session_id, 0x1122_3344_5566_7788);
-        assert_eq!(d.t_max, 1 << 20);
-        assert_eq!(d.t, 17);
-        assert_eq!(d.state, [0xAB, 0xCD, 0xEF]);
     }
 
     #[test]

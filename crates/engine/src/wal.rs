@@ -303,19 +303,19 @@ pub(crate) fn seal<E>(
 }
 
 /// Validate one envelope that must span all of `bytes`, returning its
-/// version and body. Checks run magic → version (must lie in
-/// `versions`) → reserved bytes → body length against `cap` → length
-/// against the bytes present → CRC, so a flipped byte anywhere is named
-/// before any body field is trusted.
+/// body. Checks run magic → version (must equal `version`) → reserved
+/// bytes → body length against `cap` → length against the bytes present
+/// → CRC, so a flipped byte anywhere is named before any body field is
+/// trusted.
 pub(crate) fn open(
     bytes: &[u8],
     magic: [u8; 4],
-    versions: std::ops::RangeInclusive<u8>,
+    version: u8,
     cap: u32,
-) -> Result<(u8, &[u8]), EnvelopeError> {
+) -> Result<&[u8], EnvelopeError> {
     let have = bytes.len();
     let mut d = Dec::new(bytes);
-    let (Ok(got), Ok(version), Ok(reserved), Ok(len)) =
+    let (Ok(got), Ok(got_version), Ok(reserved), Ok(len)) =
         (d.array::<4>(), d.u8(), d.array::<3>(), d.u32())
     else {
         return Err(EnvelopeError::Truncated { have, need: ENVELOPE_HEADER_LEN });
@@ -323,8 +323,8 @@ pub(crate) fn open(
     if got != magic {
         return Err(EnvelopeError::BadMagic(got));
     }
-    if !versions.contains(&version) {
-        return Err(EnvelopeError::UnsupportedVersion(version));
+    if got_version != version {
+        return Err(EnvelopeError::UnsupportedVersion(got_version));
     }
     if reserved != [0u8; 3] {
         return Err(EnvelopeError::NonZeroReserved);
@@ -343,7 +343,7 @@ pub(crate) fn open(
     if stored != computed {
         return Err(EnvelopeError::ChecksumMismatch { computed, stored });
     }
-    Ok((version, body))
+    Ok(body)
 }
 
 // ---------------------------------------------------------------------------
@@ -832,13 +832,8 @@ impl Manifest {
     /// Strict decode; any lie is a `reason` string the caller wraps in
     /// [`WalError::CorruptManifest`] with the file name attached.
     fn decode(bytes: &[u8]) -> Result<Manifest, String> {
-        let (_, body) = open(
-            bytes,
-            CHECKPOINT_MAGIC,
-            CHECKPOINT_VERSION..=CHECKPOINT_VERSION,
-            MAX_MANIFEST_BODY,
-        )
-        .map_err(|e| format!("{e:?}"))?;
+        let body = open(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, MAX_MANIFEST_BODY)
+            .map_err(|e| format!("{e:?}"))?;
         let corrupt = |e: CodecError| format!("body {e}");
         let mut d = Dec::new(body);
         let generation = d.u32().map_err(corrupt)?;

@@ -54,9 +54,14 @@ pub const R2_CRATES: [&str; 7] = [
 /// R3 scope: the durability layer.
 pub const R3_FILES: [&str; 2] = ["crates/engine/src/wal.rs", "crates/engine/src/snapshot.rs"];
 
-/// R4 scope: files defining wire/WAL/snapshot/checkpoint constants.
-pub const R4_SOURCES: [&str; 3] =
-    ["crates/engine/src/wire.rs", "crates/engine/src/wal.rs", "crates/engine/src/snapshot.rs"];
+/// R4 scope: files defining wire/WAL/snapshot/checkpoint constants and
+/// mechanism state-blob tags.
+pub const R4_SOURCES: [&str; 4] = [
+    "crates/engine/src/wire.rs",
+    "crates/engine/src/wal.rs",
+    "crates/engine/src/snapshot.rs",
+    "crates/core/src/codec.rs",
+];
 
 /// R4 document side.
 pub const R4_DOC: &str = "docs/PROTOCOL.md";

@@ -2,8 +2,10 @@
 //!
 //! `docs/PROTOCOL.md` pins the on-disk/on-wire formats byte-for-byte:
 //! magics (`PIRW`/`PIRL`/`PIRS`/`PIRC`), format versions, frame
-//! opcodes, `MechanismSpec` tags, and `EngineError` wire kinds. The
-//! same constants live in `crates/engine/src/{wire,wal,snapshot}.rs`.
+//! opcodes, `MechanismSpec` tags, `EngineError` wire kinds, and
+//! mechanism state-blob tags. The same constants live in
+//! `crates/engine/src/{wire,wal,snapshot}.rs` and
+//! `crates/core/src/codec.rs`.
 //! Nothing previously cross-checked the two: a new opcode added in
 //! source but not in the doc (or a doc table edited without touching
 //! source) would drift silently — until an operator debugging a hex
@@ -21,12 +23,15 @@
 //! - `<int> => EngineError::<Variant>` arms in `dec_engine_error` and
 //!   `EngineError::<Variant> … => (<int>, …)` arms in
 //!   `enc_engine_error` (the two must agree with each other too);
-//! - `<int> => MechanismSpec::<Variant>` arms in `dec_spec`.
+//! - `<int> => MechanismSpec::<Variant>` arms in `dec_spec`;
+//! - `pub const TAG_<NAME>: u8 = <int>;` — mechanism state-blob tags.
 //!
 //! Extracted from the document: magic lines carrying a backticked hex
 //! quad plus a quoted name (table cell or prose), `version` rows/prose
-//! with a backticked hex byte, and the opcode / error-kind / spec-tag
-//! tables (recognized by their header rows).
+//! with a backticked hex byte, and the opcode / error-kind / spec-tag /
+//! state-tag tables (recognized by their header rows). A state-tag row
+//! whose `written` cell is not `yes` is a retired tag: it must have no
+//! source constant.
 
 use super::Finding;
 use crate::lexer::{lex, Token, TokenKind};
@@ -46,6 +51,8 @@ pub struct SourceConstants {
     pub err_kinds_enc: Vec<(u64, String)>,
     /// Spec tag → `MechanismSpec` variant, from the decoder.
     pub spec_tags: Vec<(u64, String)>,
+    /// Mechanism state tag const name → (value, file, line).
+    pub state_tags: Vec<(String, u64, String, u32)>,
 }
 
 /// Extract every protocol constant from `(rel_path, source)` pairs.
@@ -98,6 +105,10 @@ fn extract_consts(path: &str, tokens: &[Token<'_>], out: &mut SourceConstants) {
         } else if let Some(prefix) = name.text.strip_suffix("VERSION") {
             if let Some(v) = tokens.get(eq + 1).and_then(|x| x.int_value()) {
                 out.versions.push((prefix.to_string(), v, path.to_string(), name.line));
+            }
+        } else if name.text.starts_with("TAG_") {
+            if let Some(v) = tokens.get(eq + 1).and_then(|x| x.int_value()) {
+                out.state_tags.push((name.text.to_string(), v, path.to_string(), name.line));
             }
         }
     }
@@ -208,6 +219,8 @@ pub struct DocConstants {
     pub err_kinds: Vec<(u64, String, u32)>,
     /// Spec tag → (variant name, line).
     pub spec_tags: Vec<(u64, String, u32)>,
+    /// Mechanism state tag → (written by this build, line).
+    pub state_tags: Vec<(u64, bool, u32)>,
 }
 
 /// Which table the parser is currently inside.
@@ -217,6 +230,7 @@ enum TableMode {
     Opcodes,
     ErrKinds,
     SpecTags,
+    StateTags,
 }
 
 /// Parse the protocol document.
@@ -266,6 +280,11 @@ pub fn extract_doc(doc: &str) -> DocConstants {
             mode = TableMode::SpecTags;
             continue;
         }
+        if lower.first().is_some_and(|c| c == "tag") && lower.get(2).is_some_and(|c| c == "written")
+        {
+            mode = TableMode::StateTags;
+            continue;
+        }
         if cells.iter().all(|c| c.chars().all(|ch| ch == '-' || ch == ' ')) {
             continue; // separator row
         }
@@ -303,6 +322,13 @@ pub fn extract_doc(doc: &str) -> DocConstants {
                     cells.get(1).map(|c| c.trim_matches('`').to_string()),
                 ) {
                     out.spec_tags.push((v, name, lineno));
+                }
+            }
+            TableMode::StateTags => {
+                if let (Some(v), Some(written)) =
+                    (cells.first().and_then(|c| bare_hex_byte(c)), lower.get(2))
+                {
+                    out.state_tags.push((v, written == "yes", lineno));
                 }
             }
             TableMode::None => {}
@@ -575,6 +601,36 @@ pub fn compare(src: &SourceConstants, doc: &DocConstants) -> Vec<Finding> {
         }
     }
 
+    // State tags: the consts are exactly the rows marked as written; a
+    // retired row keeps its value from being reused.
+    for (name, value, file, line) in &src.state_tags {
+        match doc.state_tags.iter().find(|(t, _, _)| t == value) {
+            None => push(
+                file,
+                *line,
+                "statetag",
+                format!("state tag `{name}` (0x{value:02X}) has no row in {DOC_FILE}"),
+            ),
+            Some((_, false, doc_line)) => push(
+                DOC_FILE,
+                *doc_line,
+                "statetag",
+                format!("state tag 0x{value:02X} is marked retired but `{name}` defines it"),
+            ),
+            Some(_) => {}
+        }
+    }
+    for (value, written, line) in &doc.state_tags {
+        if *written && !src.state_tags.iter().any(|(_, v, _, _)| v == value) {
+            push(
+                DOC_FILE,
+                *line,
+                "statetag",
+                format!("documented state tag 0x{value:02X} is written but has no source constant"),
+            );
+        }
+    }
+
     out
 }
 
@@ -609,6 +665,8 @@ fn dec_spec(d: &mut Dec) -> Result<MechanismSpec, WireError> {
         t => return Err(WireError::Malformed(format!("bad tag {t}"))),
     })
 }
+pub const TAG_TRIVIAL: u8 = 3;
+pub const TAG_REG1_LIVE: u8 = 5;
 "#;
 
     const DOC: &str = r#"
@@ -632,6 +690,12 @@ fn dec_spec(d: &mut Dec) -> Result<MechanismSpec, WireError> {
 |---|---|---|
 | 1 | unknown session | `a` = session id |
 | 7 | engine closed | — |
+
+| tag | mechanism | written | body after the tag |
+|---|---|---|---|
+| `01` | `PRIVINCREG1` | no — retired, refused | — |
+| `03` | `Trivial` | yes | `t` |
+| `05` | `PRIVINCREG1` | yes | `t`, counted `θ`, two trees |
 "#;
 
     #[test]
@@ -642,8 +706,13 @@ fn dec_spec(d: &mut Dec) -> Result<MechanismSpec, WireError> {
         assert_eq!(src.err_kinds_dec.len(), 2);
         assert_eq!(src.err_kinds_enc.len(), 2);
         assert_eq!(src.spec_tags.len(), 2);
+        assert_eq!(src.state_tags.len(), 2);
         let doc = extract_doc(DOC);
         assert_eq!(doc.versions, vec![("PIRW".to_string(), 1, 3)]);
+        assert_eq!(
+            doc.state_tags.iter().map(|&(t, w, _)| (t, w)).collect::<Vec<_>>(),
+            [(1, false), (3, true), (5, true)]
+        );
         let findings = compare(&src, &doc);
         assert!(findings.is_empty(), "{findings:#?}");
     }
@@ -663,6 +732,27 @@ fn dec_spec(d: &mut Dec) -> Result<MechanismSpec, WireError> {
         assert!(tokens.contains(&"version"), "{findings:#?}");
         assert!(tokens.contains(&"opcode"), "{findings:#?}");
         assert!(tokens.contains(&"spectag"), "{findings:#?}");
+    }
+
+    #[test]
+    fn missing_and_orphan_state_tag_rows_are_caught() {
+        let src = extract_source(&[("codec.rs", SRC)]);
+        let statetag = |doc: &str| -> Vec<String> {
+            let findings = compare(&src, &extract_doc(doc));
+            findings.into_iter().filter(|f| f.token == "statetag").map(|f| f.message).collect()
+        };
+        // A const with no row.
+        let missing = statetag(&DOC.replace("| `03` | `Trivial` | yes | `t` |\n", ""));
+        assert_eq!(missing.len(), 1, "{missing:#?}");
+        assert!(missing[0].contains("TAG_TRIVIAL"), "{missing:#?}");
+        // A row marked as written with no const.
+        let orphan =
+            statetag(&DOC.replace("| `05` |", "| `07` | `PRIVINCREG2` | yes | body |\n| `05` |"));
+        assert_eq!(orphan.len(), 1, "{orphan:#?}");
+        assert!(orphan[0].contains("0x07"), "{orphan:#?}");
+        // A const whose row says the tag is retired.
+        let retired = statetag(&DOC.replace("| `05` | `PRIVINCREG1` | yes |", "| `05` | x | no |"));
+        assert_eq!(retired.len(), 1, "{retired:#?}");
     }
 
     #[test]

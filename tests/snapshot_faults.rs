@@ -48,13 +48,6 @@ fn deep_blob() -> Vec<u8> {
     snapshot_after(11)
 }
 
-/// `real_blob` as a build before the live-level tree layout wrote it:
-/// the same snapshot around the full-level mechanism state blob.
-fn full_level_blob() -> Vec<u8> {
-    let blob = real_blob();
-    common::with_snapshot_state(&blob, &common::full_level_state(common::snapshot_state(&blob), 16))
-}
-
 /// A snapshot of a `PRIVINCREG2` session (d = 4, m = 3, T = 16) after 11
 /// points: its state blob ends with the carried lift smoothness.
 fn reg2_blob() -> Vec<u8> {
@@ -76,9 +69,9 @@ fn reg2_spec() -> MechanismSpec {
 }
 
 /// Every blob the sweeps corrupt: the shallow session, the deep one,
-/// the full-level form of the shallow one, and a `PRIVINCREG2` session.
-fn sweep_blobs() -> [Vec<u8>; 4] {
-    [real_blob(), deep_blob(), full_level_blob(), reg2_blob()]
+/// and a `PRIVINCREG2` session.
+fn sweep_blobs() -> [Vec<u8>; 3] {
+    [real_blob(), deep_blob(), reg2_blob()]
 }
 
 /// Restore must answer every corruption with `Err`, never a panic. The
@@ -106,27 +99,24 @@ fn future_version_is_unsupported() {
     assert!(matches!(restore(&blob), Err(SnapshotError::UnsupportedVersion { got: 3 })));
 }
 
+/// Version 1 (no seed fingerprint) is outside the read window: a blob
+/// laid out as a pre-fingerprint build wrote it is refused by its
+/// version byte, under the right engine seed and a wrong one alike.
 #[test]
-fn legacy_version_1_blob_restores_without_the_fingerprint_check() {
-    // Readers grow backwards: a blob written by a pre-fingerprint build
-    // (version 1, no fingerprint field) still restores — under the old
-    // trust-the-caller seed contract documented in KNOWN_FAILURES.md.
-    let mut v1 = {
-        let blob = real_blob();
-        let mut v1 = Vec::with_capacity(blob.len() - 8);
-        v1.extend_from_slice(&blob[..20]); // header + session id
-        v1.extend_from_slice(&blob[28..]); // skip the fingerprint
-        v1
-    };
+fn version_1_blob_is_unsupported_under_any_seed() {
+    let blob = real_blob();
+    let mut v1 = [&blob[..20], &blob[28..]].concat(); // header + id, then past the fingerprint
     v1[4] = 1;
     let body_len = u32::from_le_bytes(v1[8..12].try_into().unwrap()) - 8;
     v1[8..12].copy_from_slice(&body_len.to_le_bytes());
     refix_crc(&mut v1);
-    let session = restore(&v1).unwrap();
-    assert_eq!(session.id(), SESSION);
-    assert_eq!(session.t(), 5);
-    // No fingerprint to check, so even a wrong seed is (legacy) accepted.
-    StreamSession::restore(&v1, SEED + 1).unwrap();
+    for seed in [SEED, SEED + 1] {
+        let err = StreamSession::restore(&v1, seed).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion { got: 1 }),
+            "seed {seed}: {err:?}"
+        );
+    }
 }
 
 #[test]
@@ -191,14 +181,13 @@ proptest! {
     /// are validated before the CRC is even checked).
     #[test]
     fn every_bit_flip_is_detected(
-        which in 0usize..4,
+        which in 0usize..3,
         byte_frac in 0.0f64..1.0,
         bit in 0usize..8,
     ) {
         let mut blob = match which {
             0 => real_blob(),
             1 => deep_blob(),
-            2 => full_level_blob(),
             _ => reg2_blob(),
         };
         let idx = ((blob.len() as f64) * byte_frac) as usize;
@@ -328,17 +317,11 @@ fn reg1_state() -> (PrivIncReg1, Vec<u8>) {
 
 /// Offsets of the three step counters in a `reg1_state` blob: the
 /// mechanism's after the tag, then each tree's at its start (after the
-/// counted warm-start iterate). A live-level tree is `t`, 4 generator
-/// words, the dimension, 3 live `(a_j, b_j)` pairs and the release; a
-/// full-level one counts all 5 levels of `a` and of `b`.
-fn reg1_t_offsets(full_level: bool) -> [usize; 3] {
+/// counted warm-start iterate). A tree is `t`, 4 generator words, the
+/// dimension, 3 live `(a_j, b_j)` pairs and the release.
+fn reg1_t_offsets() -> [usize; 3] {
     let xy = 1 + 8 + 8 + 8 * D;
-    let xy_len = if full_level {
-        8 + 32 + 2 * (8 + 5 * (8 + 8 * D)) + 8 + 8 * D
-    } else {
-        8 + 32 + 8 + 2 * 3 * 8 * D + 8 * D
-    };
-    [1, xy, xy + xy_len]
+    [1, xy, xy + 8 + 32 + 8 + 2 * 3 * 8 * D + 8 * D]
 }
 
 fn is_invalid_state(r: Result<(), CoreError>) -> bool {
@@ -352,7 +335,7 @@ fn is_invalid_state(r: Result<(), CoreError>) -> bool {
 #[test]
 fn live_row_count_other_than_popcount_is_invalid_state() {
     let (mut mech, blob) = reg1_state();
-    let [_, xy, xx] = reg1_t_offsets(false);
+    let [_, xy, xx] = reg1_t_offsets();
     assert_eq!(blob[xy..xy + 8], 11u64.to_le_bytes(), "offset arithmetic");
     assert_eq!(blob[xx..xx + 8], 11u64.to_le_bytes(), "offset arithmetic");
     for (at, dim) in [(xy, D as u64), (xx, (D * D) as u64)] {
@@ -379,69 +362,38 @@ fn live_row_count_other_than_popcount_is_invalid_state() {
 #[test]
 fn step_count_past_the_horizon_is_invalid_state() {
     let (mut mech, blob) = reg1_state();
-    for (full_level, forged_blob) in
-        [(false, blob.clone()), (true, common::full_level_state(&blob, T_MAX))]
-    {
-        let offsets = reg1_t_offsets(full_level);
-        for at in offsets {
-            assert_eq!(forged_blob[at..at + 8], 11u64.to_le_bytes(), "offset arithmetic");
-        }
-        let mut bad = forged_blob.clone();
-        for at in offsets {
-            bad[at..at + 8].copy_from_slice(&19u64.to_le_bytes());
-        }
-        assert!(is_invalid_state(mech.load_state(&bad)));
-        // Only the trees past the horizon: the counters disagree.
-        let mut bad = forged_blob.clone();
-        for at in &offsets[1..] {
-            bad[*at..*at + 8].copy_from_slice(&19u64.to_le_bytes());
-        }
-        assert!(is_invalid_state(mech.load_state(&bad)));
+    let offsets = reg1_t_offsets();
+    for at in offsets {
+        assert_eq!(blob[at..at + 8], 11u64.to_le_bytes(), "offset arithmetic");
     }
+    let mut bad = blob.clone();
+    for at in offsets {
+        bad[at..at + 8].copy_from_slice(&19u64.to_le_bytes());
+    }
+    assert!(is_invalid_state(mech.load_state(&bad)));
+    // Only the trees past the horizon: the counters disagree.
+    let mut bad = blob.clone();
+    for at in &offsets[1..] {
+        bad[*at..*at + 8].copy_from_slice(&19u64.to_le_bytes());
+    }
+    assert!(is_invalid_state(mech.load_state(&bad)));
 }
 
-/// A full-level blob's rows outside the bits of `t` must be exactly
-/// `+0.0` bits: the live form would silently drop anything else. `-0.0`
-/// and a subnormal are refused in the dead levels 2 and 4 of both rows
-/// of both trees.
-#[test]
-fn full_level_nonzero_dead_row_is_invalid_state() {
-    let (mut mech, blob) = reg1_state();
-    let full = common::full_level_state(&blob, T_MAX);
-    mech.load_state(&full).unwrap();
-    let [_, xy, xx] = reg1_t_offsets(true);
-    for (tree, dim) in [(xy, D), (xx, D * D)] {
-        let row = |rows_at: usize, j: usize| rows_at + 8 + j * (8 + 8 * dim) + 8;
-        let a_rows = tree + 8 + 32;
-        let b_rows = a_rows + 8 + 5 * (8 + 8 * dim);
-        for at in [row(a_rows, 2), row(a_rows, 4), row(b_rows, 2), row(b_rows, 4)] {
-            assert_eq!(full[at..at + 8], [0; 8], "offset arithmetic");
-            for value in [-0.0f64, 5e-324] {
-                let mut bad = full.clone();
-                bad[at..at + 8].copy_from_slice(&value.to_bits().to_le_bytes());
-                assert!(is_invalid_state(mech.load_state(&bad)), "{value:e} at {at}");
-            }
-        }
-    }
-}
-
-/// Every prefix of either layout's mechanism blob is `InvalidState`, and
-/// every single-bit flip either loads or is `InvalidState` — no flip
-/// panics (a flipped float in a live row is a different, valid state;
-/// the `PIRS` checksum above is what catches those).
+/// Every prefix of the mechanism blob is `InvalidState`, and every
+/// single-bit flip either loads or is `InvalidState` — no flip panics (a
+/// flipped float in a live row is a different, valid state; the `PIRS`
+/// checksum above is what catches those).
 #[test]
 fn mechanism_blob_truncations_and_bit_flips_are_typed() {
-    let (mut mech, blob) = reg1_state();
-    for bytes in [blob.clone(), common::full_level_state(&blob, T_MAX)] {
-        for cut in 0..bytes.len() {
-            assert!(is_invalid_state(mech.load_state(&bytes[..cut])), "prefix of {cut} bytes");
-        }
-        for bit in 0..bytes.len() * 8 {
-            let mut bad = bytes.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            let r = mech.load_state(&bad);
-            assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
-        }
+    let (mut mech, bytes) = reg1_state();
+    for cut in 0..bytes.len() {
+        assert!(is_invalid_state(mech.load_state(&bytes[..cut])), "prefix of {cut} bytes");
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut bad = bytes.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let r = mech.load_state(&bad);
+        assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
     }
 }
 
@@ -493,28 +445,51 @@ fn forged_carried_smoothness_is_invalid_state() {
     let mut bad = blob.clone();
     bad[at - 1] = 0;
     assert!(is_invalid_state(mech.load_state(&bad)));
+    // The retired tag 6 laid out as its last writer did: no smoothness.
+    let tag6 = [&[6u8][..], &blob[1..at - 1]].concat();
+    assert!(is_invalid_state(mech.load_state(&tag6)));
+    assert_eq!(mech.t(), 0, "a refused blob left state behind");
     mech.load_state(&blob).unwrap();
     assert_eq!(mech.t(), 11);
 }
 
-/// Every prefix of a `PRIVINCREG2` blob in each layout the reader takes
-/// (tag 7, and the tag 6 and full-level tag 2 of earlier builds) is
-/// `InvalidState`, and every single-bit flip either loads or is
-/// `InvalidState`.
+/// Every prefix of a `PRIVINCREG2` blob is `InvalidState`, and every
+/// single-bit flip either loads or is `InvalidState`.
 #[test]
 fn reg2_blob_truncations_and_bit_flips_are_typed() {
-    let (mut mech, blob) = reg2_state();
-    let live = common::without_smoothness(&blob);
-    for bytes in [blob.clone(), common::full_level_state(&live, T_MAX), live] {
-        for cut in 0..bytes.len() {
-            assert!(is_invalid_state(mech.load_state(&bytes[..cut])), "prefix of {cut} bytes");
+    let (mut mech, bytes) = reg2_state();
+    for cut in 0..bytes.len() {
+        assert!(is_invalid_state(mech.load_state(&bytes[..cut])), "prefix of {cut} bytes");
+    }
+    for bit in 0..bytes.len() * 8 {
+        let mut bad = bytes.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let r = mech.load_state(&bad);
+        assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
+    }
+    mech.load_state(&bytes).unwrap();
+}
+
+/// Mechanism tags 1, 2 (full-level trees) and 6 (Reg2 without the lift
+/// smoothness) are retired. A `PIRS` snapshot whose state blob opens
+/// with one is refused by restore, and the same state bytes are
+/// `InvalidState` on a live mechanism, whose step count stays put.
+#[test]
+fn retired_mechanism_tags_are_refused() {
+    let (mut reg1, blob1) = reg1_state();
+    let (mut reg2, blob2) = reg2_state();
+    reg1.load_state(&blob1).unwrap();
+    reg2.load_state(&blob2).unwrap();
+    let live: [(&mut dyn IncrementalMechanism, Vec<u8>); 2] =
+        [(&mut reg1, real_blob()), (&mut reg2, reg2_blob())];
+    for (mech, snapshot) in live {
+        for tag in [1u8, 2, 6] {
+            let mut state = common::snapshot_state(&snapshot).to_vec();
+            state[0] = tag;
+            let err = restore(&common::with_snapshot_state(&snapshot, &state)).unwrap_err();
+            assert!(matches!(err, SnapshotError::Restore { .. }), "tag {tag}: got {err:?}");
+            assert!(is_invalid_state(mech.load_state(&state)), "tag {tag}");
+            assert_eq!(mech.t(), 11, "a refused blob left state behind");
         }
-        for bit in 0..bytes.len() * 8 {
-            let mut bad = bytes.clone();
-            bad[bit / 8] ^= 1 << (bit % 8);
-            let r = mech.load_state(&bad);
-            assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
-        }
-        mech.load_state(&bytes).unwrap();
     }
 }

@@ -253,9 +253,13 @@ fn reg2(d: usize, m: usize, t_max: usize, seed: u64) -> PrivIncReg2 {
 }
 
 /// The lift smoothness bits a `PRIVINCREG2` state blob carries: the
-/// field after the trees, where the tag-6 form of the blob ends.
+/// field after the tag, the step count, the two iterates and the trees.
 fn carried_smoothness(state: &[u8]) -> Option<u64> {
-    let mut d = Dec::new(&state[common::without_smoothness(state).len()..]);
+    let mut d = Dec::new(&state[1 + 8..]);
+    d.f64_vec().unwrap();
+    d.f64_vec().unwrap();
+    codec::take_tree(&mut d).unwrap();
+    codec::take_tree(&mut d).unwrap();
     codec::take_opt_f64(&mut d).unwrap().map(f64::to_bits)
 }
 
@@ -330,38 +334,6 @@ fn reg2_restore_uses_the_carried_smoothness() {
     assert_ne!(moved, live, "the forged smoothness was not used");
 }
 
-/// `PIRS` snapshots whose `PRIVINCREG2` state was written by earlier
-/// builds (tag 6, and full-level tag 2) still restore through
-/// `StreamSession::restore` and continue bit-identically: the first step
-/// recomputes the smoothness they do not carry.
-#[test]
-fn reg2_snapshots_of_earlier_builds_restore_bit_identically() {
-    let spec = MechanismSpec::reg2_l1(4, 1.0);
-    let (seed, sid, t_max, cut) = (23, 8, 12, 6);
-    let mut engine = fresh_engine(1, seed);
-    engine.spawn_session(sid, &spec, t_max, &params()).unwrap();
-    for t in 0..cut {
-        engine.observe(sid, &point(4, t, sid)).unwrap();
-    }
-    let blob = engine.with_session(sid, |s| s.snapshot().unwrap()).unwrap();
-    let live_state = common::without_smoothness(common::snapshot_state(&blob));
-    let mut replicas: Vec<StreamSession> =
-        [live_state.clone(), common::full_level_state(&live_state, t_max)]
-            .iter()
-            .map(|state| {
-                StreamSession::restore(&common::with_snapshot_state(&blob, state), seed).unwrap()
-            })
-            .collect();
-    for t in cut..t_max {
-        let z = point(4, t, sid);
-        let live: Vec<u64> = engine.observe(sid, &z).unwrap().iter().map(|v| v.to_bits()).collect();
-        for replica in &mut replicas {
-            let back: Vec<u64> = replica.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(live, back, "earlier-build snapshot diverged at t = {t}");
-        }
-    }
-}
-
 /// Golden pins of the mechanism state codec: the exact length and CRC-32
 /// of each snapshot-capable mechanism's `save_state` blob after a fixed
 /// seeded stream. Any change to the byte layout of the dynamic state —
@@ -369,100 +341,41 @@ fn reg2_snapshots_of_earlier_builds_restore_bit_identically() {
 /// so a codec refactor that claims "bytes unchanged" is held to it.
 ///
 /// The tree mechanisms write the live-level layout, and `PRIVINCREG2`
-/// appends the carried lift smoothness (tag 7). The layouts of earlier
-/// builds keep their old pins: the full-level blobs (849 and 1425 bytes)
-/// and the `PRIVINCREG2` blob without the smoothness (657 bytes, tag 6).
-/// `common` rebuilds those exact bytes from the current blob; a fresh
-/// mechanism that loads them continues the stream bit-identically and
-/// re-saves the current layout (for `PRIVINCREG2`, with no smoothness
-/// carried yet, because nothing has computed it).
+/// appends the carried lift smoothness (tag 7).
 #[test]
 fn mechanism_state_blobs_are_byte_pinned() {
-    let build = || -> Vec<(&str, Box<dyn IncrementalMechanism>)> {
-        let p = params();
-        let mut rng = NoiseRng::seed_from_u64(2017);
-        let reg2_config =
-            PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() };
-        vec![
-            (
-                "reg1 d=2",
-                Box::new(
-                    PrivIncReg1::new(
-                        Box::new(L2Ball::unit(2)),
-                        16,
-                        &p,
-                        &mut rng,
-                        Default::default(),
-                    )
+    let p = params();
+    let mut rng = NoiseRng::seed_from_u64(2017);
+    let reg2_config =
+        PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() };
+    let mechs: Vec<(&str, Box<dyn IncrementalMechanism>)> = vec![
+        (
+            "reg1 d=2",
+            Box::new(
+                PrivIncReg1::new(Box::new(L2Ball::unit(2)), 16, &p, &mut rng, Default::default())
                     .unwrap(),
-                ),
             ),
-            (
-                "reg2 d=4 m=3",
-                Box::new(
-                    PrivIncReg2::new(Box::new(L1Ball::unit(4)), 2.0, 16, &p, &mut rng, reg2_config)
-                        .unwrap(),
-                ),
+        ),
+        (
+            "reg2 d=4 m=3",
+            Box::new(
+                PrivIncReg2::new(Box::new(L1Ball::unit(4)), 2.0, 16, &p, &mut rng, reg2_config)
+                    .unwrap(),
             ),
-            ("exact d=2", Box::new(ExactIncremental::new(Box::new(L2Ball::unit(2))))),
-            ("trivial d=2", Box::new(TrivialMechanism::new(&L2Ball::unit(2)))),
-        ]
-    };
-    let mut mechs = build();
-    let (mut pins, mut legacy_pins) = (Vec::new(), Vec::new());
-    for (i, (name, mech)) in mechs.iter_mut().enumerate() {
+        ),
+        ("exact d=2", Box::new(ExactIncremental::new(Box::new(L2Ball::unit(2))))),
+        ("trivial d=2", Box::new(TrivialMechanism::new(&L2Ball::unit(2)))),
+    ];
+    let mut pins = Vec::new();
+    for (name, mut mech) in mechs {
         let d = mech.dim();
         for t in 0..5 {
             mech.observe(&point(d, t, 3)).unwrap();
         }
         let mut blob = Vec::new();
         mech.save_state(&mut blob).unwrap();
-        pins.push((*name, blob.len(), pir_engine::wal::crc32(&blob)));
-        if !name.starts_with("reg") {
-            continue;
-        }
-        let reg2 = name.starts_with("reg2");
-        // The current layout with the carried smoothness dropped: tag 6
-        // for reg2, the blob itself for reg1.
-        let live = if reg2 { common::without_smoothness(&blob) } else { blob.clone() };
-        let mut legacy = vec![common::full_level_state(&live, 16)];
-        if reg2 {
-            legacy.insert(0, live.clone());
-        }
-        let mut replicas = Vec::new();
-        for old in legacy {
-            legacy_pins.push((*name, old.len(), pir_engine::wal::crc32(&old)));
-            let (_, mut restored) = build().swap_remove(i);
-            restored.load_state(&old).unwrap();
-            let mut resaved = Vec::new();
-            restored.save_state(&mut resaved).unwrap();
-            if reg2 {
-                assert_eq!(resaved.last(), Some(&0), "{name}: no smoothness carried yet");
-                assert_eq!(common::without_smoothness(&resaved), live, "{name}: re-save");
-            } else {
-                assert_eq!(resaved, blob, "{name}: a full-level blob re-saves as the live blob");
-            }
-            replicas.push(restored);
-        }
-        for t in 5..16 {
-            let z = point(d, t, 3);
-            let live: Vec<u64> = mech.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
-            for restored in &mut replicas {
-                let back: Vec<u64> =
-                    restored.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(live, back, "{name}: legacy-layout restore diverged at t = {t}");
-            }
-        }
+        pins.push((name, blob.len(), pir_engine::wal::crc32(&blob)));
     }
-    assert_eq!(
-        legacy_pins,
-        vec![
-            ("reg1 d=2", 849, 0xD4CD_9BD7),
-            ("reg2 d=4 m=3", 657, 0x95CE_505C),
-            ("reg2 d=4 m=3", 1425, 0x3314_D250),
-        ],
-        "the test-side encoders no longer write the old layouts"
-    );
     assert_eq!(
         pins,
         vec![
