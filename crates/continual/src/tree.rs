@@ -12,11 +12,14 @@
 //! Step 8) makes the whole output sequence `(ε, δ)`-DP with respect to a
 //! single-item change of the stream.
 //!
-//! Only the `O(log T)` *active* partial sums are retained, so memory is
-//! `O(d log T)` — the property Remark §1.1 highlights. Of those, only the
-//! `popcount(t)` levels whose bit is set in `t` are non-zero at any time:
-//! a level is zeroed in place when the level above consumes it. A
-//! captured [`TreeState`] therefore carries just those live rows.
+//! Only the *active* partial sums are retained: the `popcount(t)` levels
+//! whose bit is set in `t`. They sit on a stack, the lowest level on top,
+//! and move in binary-counter order: a step pops the trailing-one levels
+//! of `t − 1` and pushes the level they complete. One allocation reserves
+//! room for all `⌈log₂ T⌉ + 1` levels, so the memory bound is the
+//! `O(d log T)` Remark §1.1 highlights, but only the part the stack has
+//! reached is ever written. A captured [`TreeState`] is a copy of the
+//! stack.
 //!
 //! The release `s_t` is additionally maintained *incrementally*: when the
 //! node at level `i` completes at time `t`, the prefix decomposition of
@@ -65,10 +68,12 @@ pub struct TreeMechanism {
     sensitivity: f64,
     /// Items consumed so far (`t`).
     t: usize,
-    /// Clean partial sums `a_j` (paper's notation), one per level.
-    a: Vec<Vec<f64>>,
-    /// Noisy partial sums `b_j`, one per level.
-    b: Vec<Vec<f64>>,
+    /// The live levels as a stack of `(a_j, b_j)` row pairs: the clean
+    /// partial sum `a_j` (paper's notation), then the noisy one `b_j`.
+    /// It holds the `popcount(t)` levels whose bit is set in `t`, the
+    /// lowest on top (at the end). Its capacity, reserved at construction
+    /// and never written ahead of the stack, is `levels` pairs.
+    rows: Vec<f64>,
     /// Incrementally maintained release `s_t = Σ_{j: bit j of t set} b_j`,
     /// kept current by retiring/adding levels as nodes complete.
     s: Vec<f64>,
@@ -80,13 +85,13 @@ pub struct TreeMechanism {
 /// Everything *not* here — dimension, horizon, `σ`, norm bound,
 /// sensitivity — is static configuration reproduced by re-running the
 /// constructor, so a snapshot only needs the live partial sums, the step
-/// counter, and the 256-bit noise-generator state. Row `j` of `a` and `b`
-/// is exactly `+0.0` unless bit `j` of `t` is set, so only those
-/// `popcount(t)` levels are carried, and the live set is read off `t`
-/// itself: there is no level mask to keep consistent with it. A
-/// mechanism that absorbs a captured state continues its noise stream
-/// and release sequence bit-identically (the law `tests` pin below and
-/// the engine's snapshot suites pin end-to-end).
+/// counter, and the 256-bit noise-generator state. The live partial sums
+/// are the mechanism's stack, pair by pair: the `popcount(t)` levels
+/// whose bit is set in `t`, read off `t` itself, so there is no level
+/// mask to keep consistent with it. A mechanism that absorbs a captured
+/// state continues its noise stream and release sequence bit-identically
+/// (the law `tests` pin below and the engine's snapshot suites pin
+/// end-to-end).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeState {
     /// Items consumed so far (`t`).
@@ -101,15 +106,17 @@ pub struct TreeState {
     pub rng: [u64; 4],
 }
 
-/// Whether level `j` is in the prefix decomposition of `t` (bit `j` set).
-fn is_live(t: usize, j: usize) -> bool {
-    t.checked_shr(j as u32).is_some_and(|bits| bits & 1 == 1)
-}
-
-/// The levels in the prefix decomposition of `t` (its set bits),
-/// ascending.
-fn live_levels(t: usize) -> impl Iterator<Item = usize> {
-    (0..usize::BITS as usize).filter(move |&j| is_live(t, j))
+/// `y ← y + α·Σ rows`, the rows folded in order through
+/// [`vector::axpy_n`] three at a time: bit-identical to one
+/// [`vector::axpy`] per row, in fewer passes over `y`.
+fn axpy_rows<'r>(alpha: f64, mut rows: impl Iterator<Item = &'r [f64]>, y: &mut [f64]) {
+    while let Some(x0) = rows.next() {
+        match (rows.next(), rows.next()) {
+            (Some(x1), Some(x2)) => vector::axpy_n(alpha, &[x0, x1, x2], y),
+            (Some(x1), None) => vector::axpy_n(alpha, &[x0, x1], y),
+            _ => vector::axpy(alpha, x0, y),
+        }
+    }
 }
 
 /// `⌈log₂ T⌉ + 1`, the number of tree levels (and the maximum number of
@@ -204,8 +211,7 @@ impl TreeMechanism {
             max_norm: None,
             sensitivity,
             t: 0,
-            a: vec![vec![0.0; dim]; levels],
-            b: vec![vec![0.0; dim]; levels],
+            rows: Vec::with_capacity(2 * levels * dim),
             s: vec![0.0; dim],
             rng,
         }
@@ -239,6 +245,12 @@ impl TreeMechanism {
     /// Number of tree levels `⌈log₂ T⌉ + 1`.
     pub fn levels(&self) -> usize {
         self.levels
+    }
+
+    /// The stack's `(a_j, b_j)` pairs from the top: ascending by level.
+    fn live_pairs(&self) -> impl Iterator<Item = &[f64]> {
+        let (n, top) = (2 * self.dim, self.rows.len());
+        (0..self.t.count_ones() as usize).map(move |k| &self.rows[top - n * (k + 1)..top - n * k])
     }
 
     /// Consume the next stream item and return the private prefix sum
@@ -369,42 +381,46 @@ impl TreeMechanism {
     /// primitive both [`update_unchecked_into`](Self::update_unchecked_into)
     /// and the copy-free [`update_ref`](TreeMechanism::update_ref) wrap.
     fn advance_unchecked(&mut self, v: &[f64]) {
+        let d = self.dim;
         self.t += 1;
-        let t = self.t;
         // i ← index of the lowest set bit of t (paper Step 3).
-        let i = t.trailing_zeros() as usize;
+        let i = self.t.trailing_zeros() as usize;
         debug_assert!(i < self.levels, "bit index exceeds tree height");
-        // a_i ← Σ_{j<i} a_j + υ_t (paper Step 4) in one fused sweep over
-        // a_i (bit-identical to the sequential per-level axpys — see
-        // `vector::axpy_n`, which takes the `Vec<f64>` level rows
-        // directly, so the common `i ∈ {0, 1}` steps touch nothing but
-        // the rows themselves); then zero the consumed levels.
-        let (low, high) = self.a.split_at_mut(i);
-        let ai = &mut high[0];
-        ai.copy_from_slice(v);
-        vector::axpy_n(1.0, low, ai);
-        for aj in low.iter_mut() {
-            aj.iter_mut().for_each(|x| *x = 0.0);
-        }
-        // Levels 0..i are exactly the trailing-one levels of t−1: their
-        // noisy nodes leave the prefix decomposition now. Retire them all
-        // from the maintained release in one fused sweep, then zero them.
-        vector::axpy_n(-1.0, &self.b[..i], &mut self.s);
-        for bj in self.b.iter_mut().take(i) {
-            bj.iter_mut().for_each(|x| *x = 0.0);
+        // The top i pairs of the stack hold levels 0..i, exactly the
+        // trailing-one levels of t−1; level j's pair starts at `pair(j)`.
+        let top = self.rows.len();
+        let pair = |j: usize| top - 2 * d * (j + 1);
+        // Their noisy nodes leave the prefix decomposition now: retire
+        // them from the maintained release in one fused sweep.
+        axpy_rows(-1.0, (0..i).map(|j| &self.rows[pair(j) + d..pair(j) + 2 * d]), &mut self.s);
+        if i == 0 {
+            // a_0 ← υ_t, pushed as a new pair (b_0 is written below).
+            self.rows.extend_from_slice(v);
+            self.rows.extend_from_slice(v);
+        } else {
+            // a_i ← υ_t + Σ_{j<i} a_j (paper Step 4), in that order, summed
+            // in the retired b_0 row, then written over a_{i−1}: level i
+            // takes the pair of level i − 1, and the pairs above it pop.
+            let (low, b0) = self.rows.split_at_mut(top - d);
+            b0.copy_from_slice(v);
+            axpy_rows(1.0, (0..i).map(|j| &low[pair(j)..pair(j) + d]), b0);
+            low[pair(i - 1)..pair(i - 1) + d].copy_from_slice(b0);
+            self.rows.truncate(pair(i - 1) + 2 * d);
         }
         // b_i ← a_i + N(0, σ² I) (paper Step 8). Noise lands in b_i first
         // via the slice-filling sampler; adding a_i after is elementwise
         // commutative, so the distribution (and determinism) are unchanged.
+        let at = self.rows.len() - 2 * d;
+        let (a, b) = self.rows[at..].split_at_mut(d);
         if self.sigma > 0.0 {
-            self.rng.fill_gaussian(&mut self.b[i], self.sigma);
-            vector::axpy(1.0, &self.a[i], &mut self.b[i]);
+            self.rng.fill_gaussian(b, self.sigma);
+            vector::axpy(1.0, a, b);
         } else {
-            self.b[i].copy_from_slice(&self.a[i]);
+            b.copy_from_slice(a);
         }
         // Bit i of t is set (t has i trailing zeros): the fresh node joins
         // the decomposition, completing s_{t-1} → s_t in amortized O(d).
-        vector::axpy(1.0, &self.b[i], &mut self.s);
+        vector::axpy(1.0, b, &mut self.s);
         self.debug_check_against_resummed();
     }
 
@@ -444,11 +460,10 @@ impl TreeMechanism {
         for k in 0..self.dim {
             let mut reference = 0.0;
             let mut scale = 1.0f64;
-            for j in 0..self.levels {
-                if self.t & (1 << j) != 0 {
-                    reference += self.b[j][k];
-                    scale = scale.max(self.b[j][k].abs());
-                }
+            for pair in self.live_pairs() {
+                let b = pair[self.dim + k];
+                reference += b;
+                scale = scale.max(b.abs());
             }
             // Drift per step is O(ε_machine · ‖b‖); scale the tolerance by
             // the magnitude of the active nodes so large-σ trees don't trip
@@ -495,8 +510,8 @@ impl TreeMechanism {
     #[cfg(test)]
     fn release_resummed(&self) -> Vec<f64> {
         let mut s = vec![0.0; self.dim];
-        for j in live_levels(self.t) {
-            vector::axpy(1.0, &self.b[j], &mut s);
+        for pair in self.live_pairs() {
+            vector::axpy(1.0, &pair[self.dim..], &mut s);
         }
         s
     }
@@ -516,9 +531,11 @@ impl TreeMechanism {
         self.sensitivity
     }
 
-    /// Approximate resident memory in `f64` slots (`2 · levels · d` for the
-    /// partial sums plus `d` for the maintained release): the `O(d log T)`
-    /// space claim of Appendix C.
+    /// Reserved memory in `f64` slots (`2 · levels · d` for the partial
+    /// sums plus `d` for the maintained release): the `O(d log T)` space
+    /// claim of Appendix C. It bounds what is touched, not what is: of the
+    /// partial sums, only the `2 · popcount(t) · d` slots of the deepest
+    /// stack so far have been written.
     pub fn memory_slots(&self) -> usize {
         2 * self.levels * self.dim + self.dim
     }
@@ -528,20 +545,15 @@ impl TreeMechanism {
     /// `O(d · popcount(t))`, not `O(d log T)`. Pair with
     /// [`restore_state`](TreeMechanism::restore_state).
     pub fn export_state(&self) -> TreeState {
-        let mut live = Vec::with_capacity(2 * self.t.count_ones() as usize * self.dim);
-        for j in live_levels(self.t) {
-            live.extend_from_slice(&self.a[j]);
-            live.extend_from_slice(&self.b[j]);
-        }
+        let live = self.live_pairs().collect::<Vec<_>>().concat();
         TreeState { t: self.t, live, s: self.s.clone(), rng: self.rng.state() }
     }
 
     /// Overwrite this mechanism's dynamic state with a previously captured
-    /// one: the live rows are written into place and every other level is
-    /// zeroed in place. The mechanism must have been constructed with the
-    /// same static configuration (dimension, horizon) as the one the
-    /// state came from; afterwards its releases and noise stream continue
-    /// bit-identically from the captured point.
+    /// one: its live rows become the stack. The mechanism must have been
+    /// constructed with the same static configuration (dimension, horizon)
+    /// as the one the state came from; afterwards its releases and noise
+    /// stream continue bit-identically from the captured point.
     ///
     /// On error, the mechanism is untouched.
     ///
@@ -581,18 +593,12 @@ impl TreeMechanism {
                 reason: "tree state contains NaN/infinite entries".to_string(),
             });
         }
-        // t ≤ t_max, so every set bit of t is below `levels`.
+        // t ≤ t_max has at most `levels` set bits, so the stack fits its
+        // reserved capacity.
         let d = self.dim;
-        let mut at = 0;
-        for (j, (a, b)) in self.a.iter_mut().zip(&mut self.b).enumerate() {
-            if is_live(state.t, j) {
-                a.copy_from_slice(&state.live[at..at + d]);
-                b.copy_from_slice(&state.live[at + d..at + 2 * d]);
-                at += 2 * d;
-            } else {
-                a.fill(0.0);
-                b.fill(0.0);
-            }
+        self.rows.clear();
+        for k in (0..rows).rev() {
+            self.rows.extend_from_slice(&state.live[2 * d * k..2 * d * (k + 1)]);
         }
         self.t = state.t;
         self.s.copy_from_slice(&state.s);
@@ -758,16 +764,15 @@ mod tests {
             mech.update(&[0.5, -0.25]).unwrap();
             let state = mech.export_state();
             assert_eq!(state.live.len(), 2 * t.count_ones() as usize * 2, "t={t}");
-            let expect: Vec<f64> =
-                live_levels(t).flat_map(|j| mech.a[j].iter().chain(&mech.b[j]).copied()).collect();
-            assert_eq!(state.live, expect, "t={t}");
+            assert_eq!(state.live, mech.stack_from_top(), "t={t}");
         }
     }
 
     #[test]
-    fn restore_zeroes_the_dead_levels_in_place() {
+    fn restore_over_a_deeper_stack_leaves_exactly_the_restored_rows() {
         // Restore a t = 4 state (one live level, 2) over a mechanism at
-        // t = 3 (levels 0 and 1 live): the stale rows must read +0.0.
+        // t = 3 (levels 0 and 1 live): the stack shrinks to that one row
+        // pair, and the next step continues from it.
         let mut src = TreeMechanism::with_sigma(2, 8, 1.0, rng());
         let mut dst = TreeMechanism::with_sigma(2, 8, 1.0, NoiseRng::seed_from_u64(9));
         for _ in 0..4 {
@@ -777,11 +782,23 @@ mod tests {
             dst.update(&[0.25, 0.0]).unwrap();
         }
         dst.restore_state(&src.export_state()).unwrap();
-        for j in 0..dst.levels {
-            assert_eq!(dst.a[j], src.a[j], "a[{j}]");
-            assert_eq!(dst.b[j], src.b[j], "b[{j}]");
+        assert_eq!(dst.rows.len(), 2 * 2);
+        assert_eq!(dst.stack_from_top(), src.stack_from_top());
+        assert_eq!(dst.update(&[0.5, 0.0]).unwrap(), src.update(&[0.5, 0.0]).unwrap());
+        assert_eq!(dst.stack_from_top(), src.stack_from_top());
+    }
+
+    #[test]
+    fn a_full_width_horizon_updates() {
+        // T > 2⁶³ gives 65 levels, one more than t has bits; the debug
+        // re-summation check must not shift past the word.
+        let mut mech = TreeMechanism::with_sigma(2, usize::MAX, 0.0, rng());
+        assert_eq!(mech.levels(), 65);
+        for t in 1..=8u32 {
+            let s = mech.update(&[0.5, -0.5]).unwrap();
+            assert_eq!(s, vec![0.5 * f64::from(t), -0.5 * f64::from(t)]);
         }
-        assert!(dst.a[0].iter().chain(&dst.b[1]).all(|x| x.to_bits() == 0));
+        assert_eq!(mech.rows.len(), 2 * 2);
     }
 
     #[test]
@@ -841,15 +858,78 @@ mod tests {
         assert!(ratio > 1.5, "ratio {ratio}");
     }
 
-    // The live-level layout's invariant: the codec writes only the rows
-    // whose bit is set in `t` and restores every other row as +0.0, so
-    // those rows must already be exactly +0.0 (bits, not just value) at
-    // every step, for any shape, horizon and noise scale.
+    /// The full-level layout the stack replaced: one `(a_j, b_j)` pair
+    /// per level, written in place, consumed levels zeroed. The reference
+    /// for what the stack must hold.
+    struct LevelModel {
+        t: usize,
+        a: Vec<Vec<f64>>,
+        b: Vec<Vec<f64>>,
+        sigma: f64,
+        rng: NoiseRng,
+    }
+
+    impl LevelModel {
+        fn new(d: usize, t_max: usize, sigma: f64, rng: NoiseRng) -> Self {
+            let levels = levels_for(t_max);
+            LevelModel {
+                t: 0,
+                a: vec![vec![0.0; d]; levels],
+                b: vec![vec![0.0; d]; levels],
+                sigma,
+                rng,
+            }
+        }
+
+        fn update(&mut self, v: &[f64]) {
+            self.t += 1;
+            let i = self.t.trailing_zeros() as usize;
+            let (low, high) = self.a.split_at_mut(i);
+            high[0].copy_from_slice(v);
+            for aj in low.iter_mut() {
+                vector::axpy(1.0, aj, &mut high[0]);
+                aj.fill(0.0);
+            }
+            self.b[..i].iter_mut().for_each(|bj| bj.fill(0.0));
+            if self.sigma > 0.0 {
+                self.rng.fill_gaussian(&mut self.b[i], self.sigma);
+                vector::axpy(1.0, &self.a[i], &mut self.b[i]);
+            } else {
+                self.b[i].copy_from_slice(&self.a[i]);
+            }
+        }
+
+        /// `a_j`, `b_j` for each set bit `j` of `t`, ascending.
+        fn live(&self) -> Vec<f64> {
+            (0..self.a.len())
+                .filter(|&j| self.t >> j & 1 == 1)
+                .flat_map(|j| self.a[j].iter().chain(&self.b[j]).copied())
+                .collect()
+        }
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    impl TreeMechanism {
+        /// The stack read from the top: `a_j`, `b_j` for each live level
+        /// `j`, ascending.
+        fn stack_from_top(&self) -> Vec<f64> {
+            self.live_pairs().flatten().copied().collect()
+        }
+    }
+
+    // The stack's invariant: at every step it holds exactly the
+    // `popcount(t)` live levels, ascending from the top, bit for bit what
+    // the full-level layout holds in those levels, within the capacity
+    // reserved at construction; and that is what `export_state` carries.
+    // A restore over a deeper stack leaves exactly the restored rows.
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         #[test]
-        fn rows_outside_the_bits_of_t_are_positive_zero(
+        fn the_stack_holds_exactly_the_live_levels(
             seed in any::<u64>(),
             d in 1usize..6,
             t_max in 1usize..80,
@@ -858,16 +938,33 @@ mod tests {
         ) {
             let sigma = if noiseless { 0.0 } else { sigma };
             let mut mech = TreeMechanism::with_sigma(d, t_max, sigma, NoiseRng::seed_from_u64(seed));
+            let mut model = LevelModel::new(d, t_max, sigma, NoiseRng::seed_from_u64(seed));
+            // A deeper stack to restore over: t = 2^k − 1 ≤ T has the most
+            // live levels any t ≤ T can have.
+            let deepest = (1usize << (usize::BITS - 1 - (t_max + 1).leading_zeros())) - 1;
+            let mut deep = TreeMechanism::with_sigma(d, t_max, sigma, NoiseRng::seed_from_u64(!seed));
+            for _ in 0..deepest {
+                deep.update(&vec![0.5 / d as f64; d]).unwrap();
+            }
+            let deep_state = deep.export_state();
+            let reserved = mech.rows.capacity();
+            prop_assert!(reserved >= 2 * mech.levels * d);
             let mut item_rng = NoiseRng::seed_from_u64(seed ^ 0x5EED);
             for t in 1..=t_max {
                 let v: Vec<f64> = (0..d).map(|_| item_rng.uniform_in(-1.0, 1.0)).collect();
                 mech.update(&v).unwrap();
-                for j in (0..mech.levels).filter(|&j| !is_live(t, j)) {
-                    prop_assert!(
-                        mech.a[j].iter().chain(&mech.b[j]).all(|x| x.to_bits() == 0),
-                        "t={} level {}: a dead row is not +0.0", t, j
-                    );
-                }
+                model.update(&v);
+                prop_assert_eq!(mech.rows.len(), 2 * t.count_ones() as usize * d, "t={}", t);
+                prop_assert_eq!(mech.rows.capacity(), reserved, "t={}", t);
+                prop_assert_eq!(bits(&mech.stack_from_top()), bits(&model.live()), "t={}", t);
+                let state = mech.export_state();
+                prop_assert_eq!(bits(&state.live), bits(&model.live()), "t={}", t);
+
+                deep.restore_state(&deep_state).unwrap();
+                prop_assert!(deep.rows.len() >= mech.rows.len());
+                deep.restore_state(&state).unwrap();
+                prop_assert_eq!(bits(&deep.rows), bits(&mech.rows), "t={}", t);
+                prop_assert_eq!(deep.export_state(), state);
             }
         }
     }

@@ -160,7 +160,10 @@ impl PrivIncReg1 {
         2.0 * self.gradient_alpha() * self.set.diameter()
     }
 
-    /// Resident memory in `f64` slots — `O(d² log T)`.
+    /// Reserved memory in `f64` slots — `O(d² log T)`. The trees write only
+    /// the levels their stacks have reached, so what is resident is
+    /// `O(d² · popcount)` for the largest `popcount(t)` seen so far (see
+    /// [`TreeMechanism::memory_slots`](pir_continual::TreeMechanism::memory_slots)).
     pub fn memory_slots(&self) -> usize {
         self.tree_xx.memory_slots() + self.tree_xy.memory_slots()
     }

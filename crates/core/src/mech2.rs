@@ -266,8 +266,11 @@ impl PrivIncReg2 {
         &self.sketch
     }
 
-    /// Resident memory in `f64` slots: `O(m² log T + m·d)` (the `m·d`
-    /// term is the sketch itself).
+    /// Reserved memory in `f64` slots: `O(m² log T + m·d)` (the `m·d`
+    /// term is the sketch itself). The trees write only the levels their
+    /// stacks have reached, so what is resident is `O(m² · popcount + m·d)`
+    /// for the largest `popcount(t)` seen so far (see
+    /// [`TreeMechanism::memory_slots`](pir_continual::TreeMechanism::memory_slots)).
     pub fn memory_slots(&self) -> usize {
         self.tree_xx.memory_slots()
             + self.tree_xy.memory_slots()

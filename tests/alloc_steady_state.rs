@@ -148,6 +148,8 @@ fn engine_observe_path_is_allocation_free_in_steady_state() {
     assert_eq!(theta.len(), d1);
 
     first_reg2_step_allocates_nothing(&params, &z2);
+    tree_rows_are_one_allocation_whatever_the_horizon();
+    tree_stack_never_reallocates();
 }
 
 /// The first `PrivIncReg2` step computes the lift smoothness (a power
@@ -177,4 +179,37 @@ fn first_reg2_step_allocates_nothing(params: &PrivacyParams, z: &DataPoint) {
     let mut restored = spawn();
     restored.load_state(&blob).unwrap();
     first_step(&mut restored, "after loading a t = 0 blob");
+}
+
+/// A `TreeMechanism` reserves its row stack in one allocation, so
+/// construction costs the same two allocations (the stack and the
+/// maintained release) whether the tree has 5 levels or 41.
+fn tree_rows_are_one_allocation_whatever_the_horizon() {
+    let build = |t_max: usize| {
+        let before = total_heap_events();
+        let tree = TreeMechanism::with_sigma(16, t_max, 1.0, NoiseRng::seed_from_u64(5));
+        let events = total_heap_events() - before;
+        drop(tree);
+        events
+    };
+    let (short, long) = (build(1 << 4), build(1 << 40));
+    assert_eq!(short, long, "construction allocated {short} times at T = 2^4, {long} at T = 2^40");
+    assert_eq!(short, 2, "construction allocated {short} times, not the stack plus the release");
+}
+
+/// Driving a `T = 2¹⁰` tree from `t = 0` to `t = T` stays inside the
+/// capacity reserved at construction: through `t = 2¹⁰ − 1`, where the
+/// stack is deepest, and the final step that pops it to one pair.
+fn tree_stack_never_reallocates() {
+    let t_max = 1 << 10;
+    let mut tree = TreeMechanism::with_sigma(16, t_max, 1.0, NoiseRng::seed_from_u64(6));
+    let item = [0.25; 16];
+    let mut release = [0.0; 16];
+    let before = total_heap_events();
+    for _ in 0..t_max {
+        tree.update_into(&item, &mut release).unwrap();
+    }
+    let events = total_heap_events() - before;
+    assert_eq!(events, 0, "driving a T = 2^10 tree to its horizon made {events} heap events");
+    assert_eq!(tree.len(), t_max);
 }
