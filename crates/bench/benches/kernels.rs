@@ -75,6 +75,28 @@ fn bench_matvec(c: &mut Criterion) {
             });
         });
     }
+    // `support` skips the zero columns of `x` (`kernels::matvec_support`):
+    // the lift's FISTA points hold ~30% nonzeros at m = 100, d = 1000.
+    // Density 1.0 is the worst case the callers' `2·nnz < d` dispatch
+    // keeps it out of.
+    let (rows, cols) = (100usize, 1000usize);
+    let a = ramp(rows * cols, 0.01);
+    for pct in [10usize, 30, 100] {
+        let x: Vec<f64> = ramp(cols, 0.5)
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| if ((i * 2_654_435_761) >> 7) % 100 < pct { v } else { 0.0 })
+            .collect();
+        let label = format!("{rows}x{cols}/density/{:.1}", pct as f64 / 100.0);
+        group.bench_with_input(BenchmarkId::new("support", &label), &rows, |b, &rows| {
+            let mut support = vec![0u32; cols];
+            let mut out = vec![0.0; rows];
+            b.iter(|| {
+                kernels::matvec_support(cols, &a, black_box(&x), &mut support, &mut out);
+                black_box(out[rows - 1])
+            });
+        });
+    }
     group.finish();
 }
 

@@ -144,7 +144,8 @@ struct Reg2Scratch {
     vartheta: Vec<f64>,
     /// Ridged-surrogate and iteration buffers for the projected descent.
     descent: DescentScratch,
-    /// Residual and FISTA buffers for the gauge lift (Step 9).
+    /// Residual, column-index and FISTA buffers for the gauge lift
+    /// (Step 9); the Step 4 embedding borrows the column indices.
     lift: LiftScratch,
     /// Power-iteration buffers for the lift smoothness, used once.
     power: PowerIterScratch,
@@ -338,9 +339,15 @@ impl PrivIncReg2 {
 
         // Step 4: norm-preserving embedding (zero covariates contribute
         // zero statistics, matching the robust-extension convention; the
-        // degenerate case leaves the scratch zero-filled).
+        // degenerate case leaves the scratch zero-filled). The lift's
+        // column-index scratch is free until Step 9, so the sparse
+        // embedding borrows it.
         self.sketch
-            .embed_normalized_into(&z.x, &mut self.scratch.embedded)
+            .embed_normalized_into(
+                &z.x,
+                self.scratch.lift.support_mut(),
+                &mut self.scratch.embedded,
+            )
             .map_err(CoreError::Linalg)?;
 
         // Steps 5–6: tree updates in the projected space (trusted internal

@@ -3,6 +3,7 @@
 
 use crate::traits::{ConvexSet, WidthSet};
 use pir_linalg::vector;
+use std::cmp::Reverse;
 
 /// L1 ball of radius `radius` centered at the origin.
 ///
@@ -46,14 +47,37 @@ impl L1Ball {
 /// Soft-threshold projection of `x` onto the L1 ball of radius `r`
 /// (Duchi, Shalev-Shwartz, Singer & Chandra, ICML 2008): `O(d log d)`.
 pub(crate) fn project_l1(x: &[f64], r: f64) -> Vec<f64> {
-    if vector::norm1(x) <= r {
-        return x.to_vec();
+    let mut out = vec![0.0; x.len()];
+    project_l1_into(x, r, &mut out);
+    out
+}
+
+/// [`project_l1`] into `out`, allocation-free: the descending magnitude
+/// sort the threshold `τ` needs runs inside `out` itself.
+///
+/// The magnitudes `|vᵢ|` are non-negative and never `−0`, so their
+/// `to_bits()` order is their numeric order and equal bits mean equal
+/// values: sorting by the integer key yields the same descending
+/// sequence — hence the same running sums and `τ`, bit for bit — as a
+/// float comparison sort, without its NaN-checking comparator.
+///
+/// # Panics
+/// Panics with "NaN in project_l1" if `x` holds a NaN (`‖x‖₁` is NaN
+/// exactly then).
+fn project_l1_into(x: &[f64], r: f64, out: &mut [f64]) {
+    let norm1 = vector::norm1(x);
+    assert!(!norm1.is_nan(), "NaN in project_l1");
+    if norm1 <= r {
+        out.copy_from_slice(x);
+        return;
     }
-    let mut mags: Vec<f64> = x.iter().map(|v| v.abs()).collect();
-    mags.sort_unstable_by(|a, b| b.partial_cmp(a).expect("NaN in project_l1"));
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v.abs();
+    }
+    out.sort_unstable_by_key(|u| Reverse(u.to_bits()));
     let mut cumsum = 0.0;
     let mut tau = 0.0;
-    for (j, &u) in mags.iter().enumerate() {
+    for (j, &u) in out.iter().enumerate() {
         cumsum += u;
         let candidate = (cumsum - r) / (j as f64 + 1.0);
         if u - candidate > 0.0 {
@@ -62,7 +86,9 @@ pub(crate) fn project_l1(x: &[f64], r: f64) -> Vec<f64> {
             break;
         }
     }
-    x.iter().map(|&v| v.signum() * (v.abs() - tau).max(0.0)).collect()
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = v.signum() * (v.abs() - tau).max(0.0);
+    }
 }
 
 impl WidthSet for L1Ball {
@@ -93,34 +119,12 @@ impl ConvexSet for L1Ball {
         project_l1(x, self.radius)
     }
 
-    /// In-place soft-threshold projection: the descending magnitude sort
-    /// the threshold `τ` needs runs inside `out` itself (`sort_unstable`
-    /// is in-place), so the projection is allocation-free — the form the
+    /// In-place soft-threshold projection (the magnitude sort runs inside
+    /// `out`), so the projection is allocation-free — the form the
     /// per-step mechanism lift (Algorithm 3, Step 9) iterates on.
     fn project_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), x.len(), "project_into: output length mismatch");
-        if vector::norm1(x) <= self.radius {
-            out.copy_from_slice(x);
-            return;
-        }
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = v.abs();
-        }
-        out.sort_unstable_by(|a, b| b.partial_cmp(a).expect("NaN in project_l1"));
-        let mut cumsum = 0.0;
-        let mut tau = 0.0;
-        for (j, &u) in out.iter().enumerate() {
-            cumsum += u;
-            let candidate = (cumsum - self.radius) / (j as f64 + 1.0);
-            if u - candidate > 0.0 {
-                tau = candidate;
-            } else {
-                break;
-            }
-        }
-        for (o, &v) in out.iter_mut().zip(x) {
-            *o = v.signum() * (v.abs() - tau).max(0.0);
-        }
+        project_l1_into(x, self.radius, out);
     }
 
     fn support(&self, g: &[f64]) -> Vec<f64> {
@@ -141,6 +145,77 @@ impl ConvexSet for L1Ball {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The projection as it was written before the bit-key sort: a float
+    /// comparison sort of the magnitudes.
+    fn project_l1_float_sort(x: &[f64], r: f64) -> Vec<f64> {
+        if vector::norm1(x) <= r {
+            return x.to_vec();
+        }
+        let mut mags: Vec<f64> = x.iter().map(|v| v.abs()).collect();
+        mags.sort_unstable_by(|a, b| b.partial_cmp(a).expect("NaN in project_l1"));
+        let mut cumsum = 0.0;
+        let mut tau = 0.0;
+        for (j, &u) in mags.iter().enumerate() {
+            cumsum += u;
+            let candidate = (cumsum - r) / (j as f64 + 1.0);
+            if u - candidate > 0.0 {
+                tau = candidate;
+            } else {
+                break;
+            }
+        }
+        x.iter().map(|&v| v.signum() * (v.abs() - tau).max(0.0)).collect()
+    }
+
+    /// One coordinate from a code below 10⁶, in one of four mixes: ties
+    /// among four magnitudes including `±0`; a dynamic range of 10⁻³⁰⁰ to
+    /// 10³⁰⁰; an interior point (`‖x‖₁ ≤ r`); uniform on `[−1, 1]` with
+    /// about a third of the entries `±0`.
+    fn coordinate(code: u64, mix: usize, r: f64, d: usize) -> f64 {
+        let sign = if code.is_multiple_of(2) { 1.0 } else { -1.0 };
+        let u = (code / 2) as f64 / 500_000.0;
+        match mix {
+            0 => sign * [0.0, 0.25, 0.5, 1.0][(code / 2 % 4) as usize],
+            1 => sign * u * 10f64.powi((code / 2 % 601) as i32 - 300),
+            2 => sign * u * r / d as f64,
+            _ if code.is_multiple_of(3) => sign * 0.0,
+            _ => sign * u,
+        }
+    }
+
+    proptest! {
+        /// The bit-key sort gives the float comparison sort's projection
+        /// bit for bit, through both entry points, on a dirty buffer.
+        #[test]
+        fn projection_matches_the_float_comparison_sort(
+            codes in prop::collection::vec(0u64..1_000_000, 1..2001),
+            mix in 0usize..4,
+            r in 0.01f64..4.0,
+        ) {
+            let d = codes.len();
+            let x: Vec<f64> = codes.iter().map(|&c| coordinate(c, mix, r, d)).collect();
+            let want = project_l1_float_sort(&x, r);
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&project_l1(&x, r)), bits(&want));
+            let mut out = vec![f64::NAN; d];
+            L1Ball::new(d, r).project_into(&x, &mut out);
+            prop_assert_eq!(bits(&out), bits(&want));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in project_l1")]
+    fn nan_coordinate_panics() {
+        L1Ball::unit(3).project(&[0.5, f64::NAN, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in project_l1")]
+    fn nan_coordinate_panics_in_one_dimension() {
+        L1Ball::unit(1).project_into(&[f64::NAN], &mut [0.0]);
+    }
 
     #[test]
     fn interior_points_are_fixed() {

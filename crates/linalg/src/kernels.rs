@@ -20,6 +20,9 @@
 //!
 //! - `matvec` accumulates each output row in the same four lanes (and
 //!   the same `(l0+l2)+(l1+l3)` reduction) as [`vector::dot`];
+//! - `matvec_support` keeps those lanes but visits only the nonzero
+//!   entries of `x`: each skipped product is `±0`, which cannot change a
+//!   lane that starts at `+0` (bit-identical for finite `A`);
 //! - `matvec_t` folds the rows of a block into the output in row order,
 //!   matching the sequential per-row [`vector::axpy`] sweeps;
 //! - the outer-product kernels are elementwise (one multiply per entry),
@@ -76,6 +79,100 @@ pub fn matvec_ref(cols: usize, a: &[f64], x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(x.len(), cols, "matvec_ref: x mismatch");
     for (r, o) in out.iter_mut().enumerate() {
         *o = vector::dot(&a[r * cols..(r + 1) * cols], x);
+    }
+}
+
+/// [`matvec`] that skips the exact-zero entries of `x`: `out ← A·x`
+/// for a row-major `out.len() × cols` matrix `a`, in time proportional
+/// to the number of nonzeros of `x` rather than to `cols`.
+///
+/// The nonzero column indices of the 4-wide body (`j < cols − cols % 4`)
+/// are written once per call into `support` as four lane lists
+/// (`j mod 4`), each ascending. Each row then sums lane `k` over its list
+/// in index order, four rows at a time, and finishes exactly as
+/// [`vector::dot`] does: `(l0+l2)+(l1+l3)`, then the `cols % 4` tail
+/// (always summed, zero or not).
+///
+/// **Bit-identical to [`matvec_ref`] for finite `a`** and any `x`,
+/// including `±0` and `±inf` entries. A skipped entry contributes
+/// `a·(±0) = ±0` to the dense sum. A lane starts at `+0` and can never
+/// become `−0` (`s + t` is `−0` only when both are `−0`), and adding
+/// `±0` to anything that is not `−0` leaves it unchanged — so skipping
+/// those additions keeps every lane's bits. A non-finite `a` entry times
+/// a skipped zero would be NaN, so the identity needs `a` finite. Where
+/// the result is NaN (a NaN in `x`, or `inf − inf`), both forms give NaN
+/// but its sign and payload are not fixed: Rust leaves them unspecified.
+///
+/// # Panics
+/// Panics if `support` is shorter than `cols` or `cols` does not fit in
+/// a `u32`; debug builds also check the shapes.
+pub fn matvec_support(cols: usize, a: &[f64], x: &[f64], support: &mut [u32], out: &mut [f64]) {
+    debug_assert_eq!(a.len(), out.len() * cols, "matvec_support: matrix/out mismatch");
+    debug_assert_eq!(x.len(), cols, "matvec_support: x mismatch");
+    assert!(support.len() >= cols, "matvec_support: support scratch shorter than cols");
+    assert!(u32::try_from(cols).is_ok(), "matvec_support: cols exceeds u32 indices");
+    let body = cols - cols % 4;
+    let (l0, rest) = support.split_at_mut(body / 4);
+    let (l1, rest) = rest.split_at_mut(body / 4);
+    let (l2, rest) = rest.split_at_mut(body / 4);
+    let l3 = &mut rest[..body / 4];
+    let mut lens = [0usize; 4];
+    for (c, chunk) in x[..body].chunks_exact(4).enumerate() {
+        let j = (4 * c) as u32;
+        // Branch-free append: write the index, keep it only if nonzero.
+        l0[lens[0]] = j;
+        lens[0] += usize::from(chunk[0] != 0.0);
+        l1[lens[1]] = j + 1;
+        lens[1] += usize::from(chunk[1] != 0.0);
+        l2[lens[2]] = j + 2;
+        lens[2] += usize::from(chunk[2] != 0.0);
+        l3[lens[3]] = j + 3;
+        lens[3] += usize::from(chunk[3] != 0.0);
+    }
+    let lanes = [&l0[..lens[0]], &l1[..lens[1]], &l2[..lens[2]], &l3[..lens[3]]];
+    let row = |r: usize| &a[r * cols..(r + 1) * cols];
+    let mut blocks = out.chunks_exact_mut(4);
+    let mut r = 0usize;
+    for ob in blocks.by_ref() {
+        support_rows([row(r), row(r + 1), row(r + 2), row(r + 3)], x, &lanes, body, ob);
+        r += 4;
+    }
+    for o in blocks.into_remainder() {
+        support_rows([row(r)], x, &lanes, body, std::slice::from_mut(o));
+        r += 1;
+    }
+}
+
+/// The rows of one [`matvec_support`] block: each row keeps its own four
+/// lanes, summed over the lane lists in index order, then reduced and
+/// tail-summed exactly as [`vector::dot`].
+fn support_rows<const R: usize>(
+    rows: [&[f64]; R],
+    x: &[f64],
+    lanes: &[&[u32]; 4],
+    body: usize,
+    out: &mut [f64],
+) {
+    let mut sums = [[0.0f64; 4]; R];
+    for (k, list) in lanes.iter().enumerate() {
+        let mut acc = [0.0f64; R];
+        for &j in *list {
+            let j = j as usize;
+            let xj = x[j];
+            for (s, row) in acc.iter_mut().zip(&rows) {
+                *s += row[j] * xj;
+            }
+        }
+        for (lane, s) in sums.iter_mut().zip(acc) {
+            lane[k] = s;
+        }
+    }
+    for ((o, row), l) in out.iter_mut().zip(&rows).zip(&sums) {
+        let mut s = (l[0] + l[2]) + (l[1] + l[3]);
+        for (&e, &xv) in row[body..].iter().zip(&x[body..]) {
+            s += e * xv;
+        }
+        *o = s;
     }
 }
 
@@ -236,8 +333,8 @@ mod tests {
     fn blocked_kernels_match_references_at_awkward_shapes() {
         // Every row/column tail length 0–3 in one sweep; the proptest
         // suite in tests/kernel_identity.rs covers random contents.
-        for rows in [1usize, 3, 4, 5, 7, 8, 11] {
-            for cols in [1usize, 2, 4, 6, 8, 9, 13] {
+        for rows in [1usize, 2, 3, 4, 5, 6, 7, 8, 11] {
+            for cols in [1usize, 2, 3, 4, 6, 7, 8, 9, 13] {
                 let a = data(rows * cols, 0.1);
                 let x = data(cols, 0.7);
                 let y = data(rows, 1.3);
@@ -246,6 +343,19 @@ mod tests {
                 matvec(cols, &a, &x, &mut got);
                 matvec_ref(cols, &a, &x, &mut want);
                 assert_eq!(got, want, "matvec {rows}x{cols}");
+
+                // Zero every third entry (±0 alternately) so each lane
+                // list and the tail see skipped columns.
+                let mut xs = x.clone();
+                for (j, v) in xs.iter_mut().enumerate().filter(|(j, _)| j % 3 == 1) {
+                    *v = if j % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                let mut support = vec![u32::MAX; cols];
+                let mut got = vec![f64::NAN; rows];
+                matvec_support(cols, &a, &xs, &mut support, &mut got);
+                matvec_ref(cols, &a, &xs, &mut want);
+                let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "matvec_support {rows}x{cols}");
 
                 let mut got = vec![2.0; cols];
                 let mut want = vec![3.0; cols];

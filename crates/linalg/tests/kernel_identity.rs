@@ -20,6 +20,25 @@ fn buf(len: usize) -> impl Strategy<Value = Vec<f64>> {
 const MAX_R: usize = 19;
 const MAX_C: usize = 13;
 
+/// `x` thinned to a density class (0: all zero, 1: ~15%, 2: ~50%, 3: all
+/// kept): each entry draws a code below 1600 whose low part decides
+/// whether it is kept and whose high part picks `+0.0`/`−0.0` for a
+/// dropped entry, or `+inf`/`−inf`/NaN for about one kept entry in five.
+fn thinned(x: &[f64], codes: &[u64], density: usize) -> Vec<f64> {
+    let keep = [0, 15, 50, 100][density];
+    x.iter()
+        .zip(codes)
+        .map(|(&v, &c)| match (c % 100 < keep, c / 100) {
+            (false, kind) if kind % 2 == 0 => 0.0,
+            (false, _) => -0.0,
+            (true, 0) => f64::INFINITY,
+            (true, 1) => f64::NEG_INFINITY,
+            (true, 2) => f64::NAN,
+            (true, _) => v,
+        })
+        .collect()
+}
+
 proptest! {
     /// The production sweep is the reference's own loop today; the pin
     /// keeps it so if `matvec` is ever retuned for a wider target.
@@ -38,6 +57,34 @@ proptest! {
         kernels::matvec_ref(cols, a, x, &mut want);
         for (g, w) in got.iter().zip(&want) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
+    /// Skipping the zero entries of `x` keeps every bit, at every
+    /// row/column tail, density and mix of signed zeros and non-finite
+    /// entries, on a dirty and possibly oversized index buffer. Rust
+    /// leaves the sign and payload of a NaN result unspecified (the
+    /// optimizer may swap the operands of an add), so a NaN output only
+    /// has to meet a NaN.
+    #[test]
+    fn matvec_support_is_bit_identical_to_reference(
+        a in buf(MAX_R * MAX_C),
+        x in buf(MAX_C),
+        codes in prop::collection::vec(0u64..1600, MAX_C),
+        density in 0usize..4,
+        rows in 1usize..MAX_R,
+        cols in 1usize..MAX_C,
+        spare in 0usize..3,
+    ) {
+        let a = &a[..rows * cols];
+        let x = thinned(&x[..cols], &codes, density);
+        let mut support = vec![u32::MAX; cols + spare];
+        let mut got = vec![f64::NAN; rows];
+        let mut want = vec![0.0; rows];
+        kernels::matvec_support(cols, a, &x, &mut support, &mut got);
+        kernels::matvec_ref(cols, a, &x, &mut want);
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()), "{g} vs {w}");
         }
     }
 

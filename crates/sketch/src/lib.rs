@@ -26,7 +26,7 @@
 pub mod gordon;
 
 use pir_dp::NoiseRng;
-use pir_linalg::{LinalgError, Matrix};
+use pir_linalg::{kernels, LinalgError, Matrix};
 
 /// A sampled Gaussian projection `Φ ∈ R^{m×d}` with i.i.d. `N(0, 1/m)`
 /// entries.
@@ -103,6 +103,41 @@ impl GaussianSketch {
         self.phi.matvec_t_into(y, out)
     }
 
+    /// [`apply_into`](GaussianSketch::apply_into) for a mostly-zero `x`:
+    /// when fewer than half of its entries are nonzero, `Φx` is summed
+    /// over those columns only ([`kernels::matvec_support`], with
+    /// `support`, of length `d`, as its index scratch); otherwise this is
+    /// the dense product. Both give the same bits for finite `x`, because
+    /// `Φ` is finite by construction.
+    ///
+    /// # Errors
+    /// [`LinalgError::DimensionMismatch`] if `x.len() != d`,
+    /// `support.len() != d` or `out.len() != m`.
+    pub fn apply_sparse_into(
+        &self,
+        x: &[f64],
+        support: &mut [u32],
+        out: &mut [f64],
+    ) -> Result<(), LinalgError> {
+        let d = self.d();
+        if support.len() != d {
+            return Err(LinalgError::DimensionMismatch {
+                op: "apply_sparse_into(support)",
+                expected: d,
+                found: support.len(),
+            });
+        }
+        let sparse = x.len() == d
+            && out.len() == self.m()
+            && 2 * x.iter().filter(|v| **v != 0.0).count() < d;
+        if !sparse {
+            // The dense product, which also reports a shape mismatch.
+            return self.phi.matvec_into(x, out);
+        }
+        kernels::matvec_support(d, self.phi.as_slice(), x, support, out);
+        Ok(())
+    }
+
     /// Algorithm 3, Step 4: the projected, norm-preserving embedding
     /// `Φx̃` where `x̃ = (‖x‖/‖Φx‖)·x`, so that `‖Φx̃‖₂ = ‖x‖₂` exactly.
     /// This is what keeps the Tree-Mechanism sensitivity in the projected
@@ -116,7 +151,8 @@ impl GaussianSketch {
     /// [`LinalgError::DimensionMismatch`] if `x.len() != d`.
     pub fn embed_normalized(&self, x: &[f64]) -> Result<Option<Vec<f64>>, LinalgError> {
         let mut out = vec![0.0; self.m()];
-        Ok(self.embed_normalized_into(x, &mut out)?.then_some(out))
+        let mut support = vec![0; self.d()];
+        Ok(self.embed_normalized_into(x, &mut support, &mut out)?.then_some(out))
     }
 
     /// [`embed_normalized`](GaussianSketch::embed_normalized) writing into
@@ -125,13 +161,21 @@ impl GaussianSketch {
     /// allocating method. Returns `false` for the degenerate cases where
     /// the allocating method returns `None` (`x = 0` or `Φx = 0`); `out`
     /// is zero-filled in that case, matching the "treat as the zero point"
-    /// convention of the callers.
+    /// convention of the callers. `Φx` goes through
+    /// [`apply_sparse_into`](GaussianSketch::apply_sparse_into) with
+    /// `support` (length `d`) as its index scratch, since covariates are
+    /// often sparse.
     ///
     /// # Errors
-    /// [`LinalgError::DimensionMismatch`] if `x.len() != d` or
-    /// `out.len() != m`.
-    pub fn embed_normalized_into(&self, x: &[f64], out: &mut [f64]) -> Result<bool, LinalgError> {
-        self.phi.matvec_into(x, out)?;
+    /// [`LinalgError::DimensionMismatch`] if `x.len() != d`,
+    /// `support.len() != d` or `out.len() != m`.
+    pub fn embed_normalized_into(
+        &self,
+        x: &[f64],
+        support: &mut [u32],
+        out: &mut [f64],
+    ) -> Result<bool, LinalgError> {
+        self.apply_sparse_into(x, support, out)?;
         let nx = pir_linalg::vector::norm2(x);
         let npx = pir_linalg::vector::norm2(out);
         if nx == 0.0 || npx == 0.0 {
@@ -256,6 +300,26 @@ mod tests {
         let e = s.embed_normalized(&x).unwrap().unwrap();
         assert!((vector::norm2(&e) - 0.7).abs() < 1e-10);
         assert!(s.embed_normalized(&vec![0.0; 30]).unwrap().is_none());
+    }
+
+    #[test]
+    fn sparse_apply_matches_dense_apply_bit_for_bit() {
+        let mut r = rng();
+        let s = GaussianSketch::sample(9, 43, &mut r);
+        let mut support = vec![u32::MAX; 43];
+        // Dense, half-full (the dense branch) and 3-sparse (the sparse one).
+        for nnz in [43usize, 22, 3, 0] {
+            let mut x = r.gaussian_vec(43, 1.0);
+            x.iter_mut().skip(nnz).for_each(|v| *v = -0.0);
+            let (mut got, mut want) = (vec![f64::NAN; 9], vec![0.0; 9]);
+            s.apply_sparse_into(&x, &mut support, &mut got).unwrap();
+            s.apply_into(&x, &mut want).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "nnz = {nnz}");
+        }
+        assert!(s.apply_sparse_into(&[0.0; 43], &mut [0; 42], &mut [0.0; 9]).is_err());
+        assert!(s.apply_sparse_into(&[0.0; 42], &mut support, &mut [0.0; 9]).is_err());
+        assert!(s.apply_sparse_into(&[0.0; 43], &mut support, &mut [0.0; 8]).is_err());
     }
 
     #[test]
