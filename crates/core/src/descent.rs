@@ -20,7 +20,6 @@
 //!   (the union-bounded `α` is large), so many more iterations are needed
 //!   to realize the same guarantee — quantified by ablation A2.
 
-use crate::gradient_fn::PrivateGradientFn;
 use pir_geometry::ConvexSet;
 use pir_linalg::{vector, Matrix, PowerIterScratch};
 use pir_optim::{
@@ -78,7 +77,7 @@ impl DescentScratch {
 /// writing the minimizer into `out`. The private gradient function is
 /// passed as a *borrowed view* — the released statistics `(Q, q)` stay in
 /// the mechanism-owned scratch they were produced in (`q_matrix` must
-/// already be symmetrized, as [`PrivateGradientFn::new`] would have done).
+/// already be symmetrized, as the private gradient function does).
 ///
 /// `ridge` is the spectral error bound of the second-moment release
 /// (Lemma 4.1's matrix term); `alpha` the full gradient-error bound;
@@ -153,41 +152,6 @@ pub(crate) fn minimize_private_objective_into<C: ConvexSet + ?Sized>(
     }
 }
 
-/// Allocating convenience wrapper over
-/// [`minimize_private_objective_into`], kept for tests and one-shot
-/// callers: takes the assembled [`PrivateGradientFn`] (whose matrix is
-/// symmetrized on construction) and returns a fresh vector.
-#[allow(clippy::too_many_arguments)]
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn minimize_private_objective<C: ConvexSet + ?Sized>(
-    strategy: DescentStrategy,
-    grad: &PrivateGradientFn,
-    set: &C,
-    ridge: f64,
-    alpha: f64,
-    lipschitz: f64,
-    max_iters: usize,
-    warm: &[f64],
-) -> Vec<f64> {
-    let d = grad.dim();
-    let mut scratch = DescentScratch::new(d);
-    let mut out = vec![0.0; d];
-    minimize_private_objective_into(
-        strategy,
-        grad.second_moment(),
-        grad.first_moment(),
-        set,
-        ridge,
-        alpha,
-        lipschitz,
-        max_iters,
-        warm,
-        &mut scratch,
-        &mut out,
-    );
-    out
-}
-
 /// Smoothness (largest eigenvalue) bound for the surrogate's Hessian `A`:
 /// a cheap power-iteration estimate with a Frobenius-norm fallback.
 fn quadratic_smoothness(a: &Matrix, power: &mut PowerIterScratch) -> f64 {
@@ -200,6 +164,44 @@ mod tests {
     use pir_geometry::{L2Ball, WidthSet};
     use pir_optim::fista_into;
     use proptest::prelude::*;
+
+    /// The descent with a fresh scratch, returning the minimizer.
+    #[allow(clippy::too_many_arguments)]
+    fn minimize(
+        strategy: DescentStrategy,
+        q: &Matrix,
+        qv: &[f64],
+        set: &L2Ball,
+        ridge: f64,
+        alpha: f64,
+        lipschitz: f64,
+        max_iters: usize,
+    ) -> Vec<f64> {
+        let d = qv.len();
+        let mut out = vec![0.0; d];
+        let (warm, mut scratch) = (vec![0.0; d], DescentScratch::new(d));
+        minimize_private_objective_into(
+            strategy,
+            q,
+            qv,
+            set,
+            ridge,
+            alpha,
+            lipschitz,
+            max_iters,
+            &warm,
+            &mut scratch,
+            &mut out,
+        );
+        out
+    }
+
+    /// The Definition-5 oracle `g(θ) = 2(Qθ − q)`.
+    fn eval(q: &Matrix, qv: &[f64], theta: &[f64]) -> Vec<f64> {
+        let mut g = q.matvec(theta).unwrap();
+        vector::axpy(-1.0, qv, &mut g);
+        vector::scale(&g, 2.0)
+    }
 
     /// The fixed-budget descent the adaptive policy replaces: identical
     /// surrogate assembly, but FISTA always runs the full `max_iters`.
@@ -288,32 +290,14 @@ mod tests {
             q.add_outer(1.0, &x, &x).unwrap();
             vector::axpy(y, &x, &mut qv);
         }
-        let grad = PrivateGradientFn::new(q, qv, 0.0, 0.0, 1.0).unwrap();
         let set = L2Ball::unit(d);
-        let warm = vec![0.0; d];
-        let fista_out = minimize_private_objective(
-            DescentStrategy::RidgedQuadraticFista,
-            &grad,
-            &set,
-            0.0,
-            1e-6,
-            2.0 * 50.0 * 2.0,
-            64,
-            &warm,
-        );
-        let pgd_out = minimize_private_objective(
-            DescentStrategy::PaperNoisyPgd,
-            &grad,
-            &set,
-            0.0,
-            1e-6,
-            2.0 * 50.0 * 2.0,
-            64,
-            &warm,
-        );
+        let lip = 2.0 * 50.0 * 2.0;
+        let fista_out =
+            minimize(DescentStrategy::RidgedQuadraticFista, &q, &qv, &set, 0.0, 1e-6, lip, 64);
+        let pgd_out = minimize(DescentStrategy::PaperNoisyPgd, &q, &qv, &set, 0.0, 1e-6, lip, 64);
         // Residual gradient norm at the FISTA point is near zero.
-        let g_fista = vector::norm2(&grad.eval(&fista_out).unwrap());
-        let g_pgd = vector::norm2(&grad.eval(&pgd_out).unwrap());
+        let g_fista = vector::norm2(&eval(&q, &qv, &fista_out));
+        let g_pgd = vector::norm2(&eval(&q, &qv, &pgd_out));
         assert!(g_fista < 1e-3, "fista residual {g_fista}");
         assert!(g_fista <= g_pgd + 1e-9, "fista should not be worse");
         // Both stay feasible.
@@ -332,17 +316,16 @@ mod tests {
             q.set(i, i, -2.0);
         }
         q.set(0, 0, -1.0);
-        let grad = PrivateGradientFn::new(q, vec![0.5, 0.0, 0.0, 0.0], 2.5, 0.1, 1.0).unwrap();
         let set = L2Ball::unit(d);
-        let out = minimize_private_objective(
+        let out = minimize(
             DescentStrategy::RidgedQuadraticFista,
-            &grad,
+            &q,
+            &[0.5, 0.0, 0.0, 0.0],
             &set,
             2.5, // ridge = spectral error bound ≥ |λ_min|
             6.0,
             100.0,
             128,
-            &vec![0.0; d],
         );
         assert!(out.iter().all(|v| v.is_finite()));
         assert!(vector::norm2(&out) <= 1.0 + 1e-9);

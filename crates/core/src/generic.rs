@@ -13,7 +13,7 @@
 //! parts of Theorem 3.1 correspond to the three [`TauRule`]s.
 
 use crate::error::CoreError;
-use crate::stream::IncrementalMechanism;
+use crate::stream::{check_arrivals, IncrementalMechanism};
 use crate::Result;
 use pir_dp::{composition, NoiseRng, PrivacyParams};
 use pir_erm::{DataPoint, Loss, PrivateBatchSolver};
@@ -160,11 +160,8 @@ impl IncrementalMechanism for PrivIncErm {
     }
 
     fn observe(&mut self, z: &DataPoint) -> Result<Vec<f64>> {
-        z.validate(self.set.dim())
-            .map_err(|e| CoreError::InvalidPoint { reason: e.to_string() })?;
-        if self.t >= self.t_max {
-            return Err(CoreError::StreamOverflow { t_max: self.t_max });
-        }
+        let horizon = Some((self.t, self.t_max));
+        check_arrivals(self.set.dim(), std::slice::from_ref(z), false, None, horizon)?;
         self.t += 1;
         self.history.push(z.clone());
         if self.t.is_multiple_of(self.tau) {
@@ -185,15 +182,19 @@ impl IncrementalMechanism for PrivIncErm {
     /// rejected batch never leaves a partial prefix in the ERM history
     /// (which a retry would otherwise double-count).
     fn observe_batch(&mut self, batch: &[DataPoint]) -> Result<Vec<Vec<f64>>> {
-        let d = self.set.dim();
-        for (i, z) in batch.iter().enumerate() {
-            z.validate(d)
-                .map_err(|e| CoreError::InvalidPoint { reason: format!("batch index {i}: {e}") })?;
-        }
-        if self.t + batch.len() > self.t_max {
-            return Err(CoreError::StreamOverflow { t_max: self.t_max });
-        }
+        check_arrivals(self.set.dim(), batch, true, None, Some((self.t, self.t_max)))?;
         batch.iter().map(|z| self.observe(z)).collect()
+    }
+
+    /// [`observe_batch`](IncrementalMechanism::observe_batch) into the
+    /// caller's flat buffer, under the same atomic contract.
+    fn observe_batch_into(&mut self, batch: &[DataPoint], out: &mut [f64]) -> Result<()> {
+        let d = self.set.dim();
+        check_arrivals(d, batch, true, Some(out.len()), Some((self.t, self.t_max)))?;
+        for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(d)) {
+            self.observe_into(z, chunk)?;
+        }
+        Ok(())
     }
 }
 

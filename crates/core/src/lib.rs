@@ -10,9 +10,9 @@
 //!   (Definition 5) built on two Tree Mechanism instances, optimized per
 //!   step with `NOISYPROJGRAD`. Excess risk `≈ √d·‖C‖²/ε` (Theorem 4.2).
 //! - [`PrivIncReg2`] — Algorithm 3 (§5): the beyond-worst-case mechanism —
-//!   Gaussian sketching (Gordon-sized), tree-mechanism statistics in the
-//!   projected space, and Minkowski-gauge lifting back to `C`. Excess risk
-//!   `≈ T^{1/3}W^{2/3}/ε + √OPT terms` (Theorem 5.7).
+//!   Gaussian sketching (Gordon-sized), the same private gradient function
+//!   run in the projected space, and Minkowski-gauge lifting back to `C`.
+//!   Excess risk `≈ T^{1/3}W^{2/3}/ε + √OPT terms` (Theorem 5.7).
 //! - [`RobustPrivIncReg2`] — the §5.2 extension for streams where only a
 //!   subset of covariates comes from the low-width domain `G`.
 //! - [`baselines`] — the naive per-step recomputation (√T composition
@@ -30,7 +30,7 @@ pub mod descent;
 mod error;
 pub mod evaluate;
 pub mod generic;
-pub mod gradient_fn;
+mod gradient_fn;
 pub mod lift;
 pub mod mech1;
 pub mod mech2;
@@ -41,7 +41,6 @@ pub use baselines::{ExactIncremental, ExactIncrementalRestricted, TrivialMechani
 pub use descent::DescentStrategy;
 pub use error::CoreError;
 pub use generic::{PrivIncErm, TauRule};
-pub use gradient_fn::PrivateGradientFn;
 pub use mech1::{PrivIncReg1, PrivIncReg1Config};
 pub use mech2::{PrivIncReg2, PrivIncReg2Config};
 pub use robust::RobustPrivIncReg2;

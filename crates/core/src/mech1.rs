@@ -7,24 +7,27 @@
 //!    each at budget `(ε/2, δ/2)` — L2-sensitivity 2 per stream;
 //! 2. assemble the private gradient function
 //!    `g_t(θ) = 2(Q_t θ − q_t)` (Definition 5) with Lemma 4.1's error
-//!    bound `α ≈ κ‖C‖(√d + √log(1/β))`;
+//!    bound `α ≈ κ‖C‖(√d + √log(1/β))`, fixed at construction;
 //! 3. run `NOISYPROJGRAD(C, g_t, r)` with the Corollary B.2 iteration rule
 //!    `r = (1 + L_t/α)²` (clamped to a compute cap — DESIGN.md, dec. 5).
 //!
-//! Every release is post-processing of the two tree outputs, so the whole
-//! output sequence is `(ε, δ)`-DP (Theorem A.3 over the two trees).
+//! Steps 1–3 are the crate's one private gradient function
+//! (`gradient_fn.rs`), run here on the covariates themselves; `PrivIncReg2`
+//! runs the same object on sketched covariates. Every release is
+//! post-processing of the two tree outputs, so the whole output sequence
+//! is `(ε, δ)`-DP (Theorem A.3 over the two trees).
 //! Memory: `O(d² log T)` — logarithmic in the stream length.
 
 use crate::codec::{self, Dec, Enc};
-use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
+use crate::descent::DescentStrategy;
 use crate::error::CoreError;
-use crate::stream::IncrementalMechanism;
+use crate::gradient_fn::PrivateGradient;
+use crate::stream::{check_arrivals, IncrementalMechanism};
 use crate::Result;
-use pir_continual::TreeMechanism;
 use pir_dp::{NoiseRng, PrivacyParams};
 use pir_erm::DataPoint;
 use pir_geometry::ConvexSet;
-use pir_linalg::{vector, Matrix};
+use pir_linalg::vector;
 
 /// Tuning knobs for [`PrivIncReg1`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,46 +60,12 @@ impl Default for PrivIncReg1Config {
 #[derive(Debug)]
 pub struct PrivIncReg1 {
     set: Box<dyn ConvexSet>,
-    t_max: usize,
     config: PrivIncReg1Config,
-    tree_xy: TreeMechanism,
-    tree_xx: TreeMechanism,
+    /// Both trees, the step buffers and Lemma 4.1's `α` over `C`.
+    grad: PrivateGradient,
     last_theta: Vec<f64>,
-    scratch: Reg1Scratch,
-    t: usize,
-}
-
-/// Mechanism-owned step buffers, preallocated once at construction and
-/// reused every timestep so the steady-state
-/// [`observe_into`](IncrementalMechanism::observe_into) path performs zero
-/// heap allocations. The tree outputs are written straight into `q_t` /
-/// `q_mat` — the `d²` `Matrix::from_vec` copy (with its redundant
-/// finiteness re-validation of already-validated data) that every step
-/// used to pay is gone.
-#[derive(Debug, Clone)]
-struct Reg1Scratch {
-    /// `x_t·y_t` — the first-moment stream item.
-    xy: Vec<f64>,
-    /// `x_t x_tᵀ` — the second-moment stream item.
-    outer: Matrix,
-    /// Second-moment tree release `Q_t` (symmetrized in place).
-    q_mat: Matrix,
     /// All-zeros cold start for `warm_start: false`.
     zero_start: Vec<f64>,
-    /// Ridged-surrogate and iteration buffers for the per-step descent.
-    descent: DescentScratch,
-}
-
-impl Reg1Scratch {
-    fn new(d: usize) -> Self {
-        Reg1Scratch {
-            xy: vec![0.0; d],
-            outer: Matrix::zeros(d, d),
-            q_mat: Matrix::zeros(d, d),
-            zero_start: vec![0.0; d],
-            descent: DescentScratch::new(d),
-        }
-    }
 }
 
 impl PrivIncReg1 {
@@ -116,14 +85,17 @@ impl PrivIncReg1 {
             return Err(CoreError::InvalidConfig { reason: "t_max must be positive".into() });
         }
         let d = set.dim();
-        let half = params.halve();
-        // ‖x y‖ ≤ 1 and ‖x xᵀ‖_F = ‖x‖² ≤ 1 under the §2 normalization,
-        // so both streams have per-item norm bound 1 (sensitivity 2).
-        let tree_xy = TreeMechanism::new(d, t_max, 1.0, &half, rng.fork())?;
-        let tree_xx = TreeMechanism::new(d * d, t_max, 1.0, &half, rng.fork())?;
+        let grad = PrivateGradient::new(
+            set.as_ref(),
+            t_max,
+            params,
+            config.beta,
+            config.strategy,
+            config.max_pgd_iters,
+            rng,
+        )?;
         let last_theta = set.project(&vec![0.0; d]);
-        let scratch = Reg1Scratch::new(d);
-        Ok(PrivIncReg1 { set, t_max, config, tree_xy, tree_xx, last_theta, scratch, t: 0 })
+        Ok(PrivIncReg1 { set, config, grad, last_theta, zero_start: vec![0.0; d] })
     }
 
     /// The constraint set.
@@ -131,25 +103,10 @@ impl PrivIncReg1 {
         self.set.as_ref()
     }
 
-    /// Spectral-norm error bound of the noisy second-moment release: the
-    /// noise is a sum of at most `levels` i.i.d. Gaussian `d×d` matrices
-    /// with per-entry deviation `σ`, so by Proposition A.1 its spectral
-    /// norm is `O(σ·√levels·(2√d + √log(1/β)))` w.p. `≥ 1 − β`. (The
-    /// generic tree bound would give the Frobenius norm, `≈ d` instead of
-    /// `≈ √d` — Lemma 4.1's `√d` rests on exactly this sharpening.)
-    fn matrix_spectral_error(&self, beta: f64) -> f64 {
-        let d = self.set.dim() as f64;
-        let levels = self.tree_xx.levels() as f64;
-        self.tree_xx.sigma() * levels.sqrt() * (2.0 * d.sqrt() + (2.0 * (1.0 / beta).ln()).sqrt())
-    }
-
     /// Lemma 4.1 gradient-error bound `α` at the configured `β`, split
     /// across the two trees and union-bounded over the horizon.
     pub fn gradient_alpha(&self) -> f64 {
-        let beta_each = self.config.beta / (2.0 * self.t_max as f64);
-        let me = self.matrix_spectral_error(beta_each);
-        let ve = self.tree_xy.error_bound(beta_each);
-        2.0 * (me * self.set.diameter() + ve)
+        self.grad.alpha()
     }
 
     /// Theorem 4.2 excess-risk bound (up to the universal constant):
@@ -165,129 +122,22 @@ impl PrivIncReg1 {
     /// `O(d² · popcount)` for the largest `popcount(t)` seen so far (see
     /// [`TreeMechanism::memory_slots`](pir_continual::TreeMechanism::memory_slots)).
     pub fn memory_slots(&self) -> usize {
-        self.tree_xx.memory_slots() + self.tree_xy.memory_slots()
+        self.grad.memory_slots()
     }
 
-    /// The `t`-independent ingredients of Lemma 4.1's error bound —
-    /// `(me, α)`, functions of the tree geometry (σ, levels, d) only, so
-    /// the batch paths compute them once per batch.
-    fn error_ingredients(&self) -> (f64, f64) {
-        let beta_each = self.config.beta / (2.0 * self.t_max as f64);
-        let me = self.matrix_spectral_error(beta_each);
-        let alpha = self.gradient_alpha().max(1e-12);
-        (me, alpha)
-    }
-
-    /// Contract sweep + overflow check for a batch, before anything is
-    /// consumed (the atomic-rejection contract of `observe_batch`).
-    fn check_batch(&self, batch: &[DataPoint]) -> Result<()> {
-        let d = self.set.dim();
-        for (i, z) in batch.iter().enumerate() {
-            z.validate(d)
-                .map_err(|e| CoreError::InvalidPoint { reason: format!("batch index {i}: {e}") })?;
-        }
-        if self.t + batch.len() > self.t_max {
-            return Err(CoreError::StreamOverflow { t_max: self.t_max });
-        }
-        Ok(())
+    /// The batch contract against this mechanism's dimension and horizon.
+    fn check(&self, points: &[DataPoint], batch: bool, out_len: Option<usize>) -> Result<()> {
+        check_arrivals(self.set.dim(), points, batch, out_len, Some(self.grad.horizon()))
     }
 
     /// Consume one already-validated point (Steps 3–6 of Algorithm 2) and
     /// write the release into `out` — the allocation-free per-point body
-    /// shared by the step and batch paths. The first-moment release is
-    /// *borrowed* from the tree via [`TreeMechanism::update_ref`] — read
-    /// where the tree maintains it instead of copied out — and the descent
-    /// runs on preallocated iteration buffers against borrowed views of
-    /// both statistics. (The second-moment release still lands in scratch:
-    /// it must be symmetrized, which the tree's internal accumulator may
-    /// not be.) The tree outputs are trusted internal data: every
-    /// ingredient was validated on ingest (see Matrix::from_vec_trusted
-    /// for the policy), so no per-step finiteness re-scan happens.
-    fn consume_into(&mut self, z: &DataPoint, me: f64, alpha: f64, out: &mut [f64]) -> Result<()> {
-        self.t += 1;
-        vector::scaled_copy_into(z.y, &z.x, &mut self.scratch.xy);
-        let q_t = self.tree_xy.update_ref(&self.scratch.xy)?;
-        self.scratch.outer.set_outer(&z.x, &z.x).map_err(CoreError::Linalg)?;
-        self.tree_xx
-            .update_into(self.scratch.outer.as_slice(), self.scratch.q_mat.as_mut_slice())?;
-        // Step 5: the private gradient function g(θ) = 2(Q θ − q) over the
-        // symmetrized release, with Lemma 4.1's α.
-        self.scratch.q_mat.symmetrize_mut();
-        // Step 6: minimize over C — either the paper-literal NOISYPROJGRAD
-        // or the (default) ridged-quadratic FISTA; both are post-processing
-        // of the released statistics (see crate::descent).
-        let lipschitz = 2.0 * self.t as f64 * (1.0 + self.set.diameter());
-        let warm: &[f64] =
-            if self.config.warm_start { &self.last_theta } else { &self.scratch.zero_start };
-        minimize_private_objective_into(
-            self.config.strategy,
-            &self.scratch.q_mat,
-            q_t,
-            &self.set,
-            me,
-            alpha,
-            lipschitz,
-            self.config.max_pgd_iters,
-            warm,
-            &mut self.scratch.descent,
-            out,
-        );
+    /// shared by the step and batch paths: the private gradient function
+    /// feeds both trees and minimizes over `C` from the warm start.
+    fn consume_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
+        let warm: &[f64] = if self.config.warm_start { &self.last_theta } else { &self.zero_start };
+        self.grad.step_into(&z.x, z.y, self.set.as_ref(), warm, out)?;
         self.last_theta.copy_from_slice(out);
-        Ok(())
-    }
-
-    /// One Algorithm-2 step, written into `out` — the allocation-free
-    /// primitive behind both `observe` and `observe_into`. Steady state
-    /// (default strategy) touches the heap zero times: the first-moment
-    /// release is borrowed from the tree, the second lands in
-    /// mechanism-owned scratch, and the descent runs on preallocated
-    /// iteration buffers against borrowed views of the statistics.
-    fn step_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
-        let d = self.set.dim();
-        if out.len() != d {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("release buffer length {} != dimension {d}", out.len()),
-            });
-        }
-        z.validate(d).map_err(|e| CoreError::InvalidPoint { reason: e.to_string() })?;
-        if self.t >= self.t_max {
-            return Err(CoreError::StreamOverflow { t_max: self.t_max });
-        }
-        let (me, alpha) = self.error_ingredients();
-        self.consume_into(z, me, alpha, out)
-    }
-
-    /// Shared validation for [`IncrementalMechanism::load_state`]: the
-    /// step counters of the blob and both trees must agree (every step
-    /// feeds both trees exactly once) and the warm-start iterate must be
-    /// a finite `d`-vector.
-    fn check_state(&self, t: usize, last_theta: &[f64], xy_t: usize, xx_t: usize) -> Result<()> {
-        if t > self.t_max {
-            return Err(CoreError::InvalidState {
-                reason: format!("t = {t} exceeds horizon T = {}", self.t_max),
-            });
-        }
-        if xy_t != t || xx_t != t {
-            return Err(CoreError::InvalidState {
-                reason: format!(
-                    "tree step counters ({xy_t}, {xx_t}) disagree with mechanism t = {t}"
-                ),
-            });
-        }
-        if last_theta.len() != self.set.dim() {
-            return Err(CoreError::InvalidState {
-                reason: format!(
-                    "warm-start iterate has dimension {} (expected {})",
-                    last_theta.len(),
-                    self.set.dim()
-                ),
-            });
-        }
-        if !vector::is_finite(last_theta) {
-            return Err(CoreError::InvalidState {
-                reason: "warm-start iterate contains NaN/infinite entries".to_string(),
-            });
-        }
         Ok(())
     }
 }
@@ -302,71 +152,45 @@ impl IncrementalMechanism for PrivIncReg1 {
     }
 
     fn t(&self) -> usize {
-        self.t
+        self.grad.t()
     }
 
     fn observe(&mut self, z: &DataPoint) -> Result<Vec<f64>> {
         let mut out = vec![0.0; self.set.dim()];
-        self.step_into(z, &mut out)?;
+        self.observe_into(z, &mut out)?;
         Ok(out)
     }
 
+    /// One Algorithm-2 step, written into `out` — the allocation-free
+    /// primitive behind `observe`.
     fn observe_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
-        self.step_into(z, out)
+        self.check(std::slice::from_ref(z), false, Some(out.len()))?;
+        self.consume_into(z, out)
     }
 
-    /// Amortized batch path — release-for-release identical to the
-    /// sequential loop (each point runs the same per-point body, against
-    /// the same tree states, in the same order):
-    ///
-    /// 1. one contract sweep + overflow check over the batch (atomic
-    ///    rejection);
-    /// 2. the `t`-independent error bounds (`α` ingredients of Lemma 4.1)
-    ///    hoisted out of the loop;
-    /// 3. both trees and the per-step descent driven per point on the
-    ///    mechanism's own step scratch, the first-moment release borrowed
-    ///    from its tree — the only per-point allocation is the returned
-    ///    estimator (the flat-buffer
-    ///    [`observe_batch_into`](IncrementalMechanism::observe_batch_into)
-    ///    form performs none at all).
+    /// Release-for-release identical to the sequential loop, with the
+    /// whole batch checked (contract and horizon) before any point is
+    /// consumed.
     fn observe_batch(&mut self, batch: &[DataPoint]) -> Result<Vec<Vec<f64>>> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.check_batch(batch)?;
-        let (me, alpha) = self.error_ingredients();
+        self.check(batch, true, None)?;
         let d = self.set.dim();
-        let mut out = Vec::with_capacity(batch.len());
-        for z in batch {
-            let mut theta = vec![0.0; d];
-            self.consume_into(z, me, alpha, &mut theta)?;
-            out.push(theta);
-        }
-        Ok(out)
+        batch
+            .iter()
+            .map(|z| {
+                let mut theta = vec![0.0; d];
+                self.consume_into(z, &mut theta)?;
+                Ok(theta)
+            })
+            .collect()
     }
 
     /// The zero-allocation batch primitive: identical consumption order
     /// and releases as [`observe_batch`](IncrementalMechanism::observe_batch),
-    /// written into the caller's flat buffer. Steady state touches the
-    /// heap zero times for any batch size.
+    /// written into the caller's flat buffer.
     fn observe_batch_into(&mut self, batch: &[DataPoint], out: &mut [f64]) -> Result<()> {
-        let d = self.set.dim();
-        if out.len() != batch.len() * d {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "batch release buffer length {} != {} points x dimension {d}",
-                    out.len(),
-                    batch.len()
-                ),
-            });
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.check_batch(batch)?;
-        let (me, alpha) = self.error_ingredients();
-        for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(d)) {
-            self.consume_into(z, me, alpha, chunk)?;
+        self.check(batch, true, Some(out.len()))?;
+        for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(self.set.dim())) {
+            self.consume_into(z, chunk)?;
         }
         Ok(())
     }
@@ -378,16 +202,14 @@ impl IncrementalMechanism for PrivIncReg1 {
     /// Dynamic state: step counter, warm-start iterate, and the two tree
     /// states in the live-level layout (`O(d² · popcount(t))` bytes: only
     /// the tree levels in the prefix decomposition of `t` are written).
-    /// Scratch buffers are excluded: every step overwrites them before
-    /// reading, so they carry no information across steps. Loading reads
-    /// only [`codec::TAG_REG1_LIVE`]; any other tag is `InvalidState`.
+    /// Loading reads only [`codec::TAG_REG1_LIVE`]; any other tag is
+    /// `InvalidState`.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
         e.u8(codec::TAG_REG1_LIVE);
-        e.u64(self.t as u64);
+        e.u64(self.grad.t() as u64);
         e.f64_slice(&self.last_theta);
-        codec::put_tree(&mut e, &self.tree_xy.export_state());
-        codec::put_tree(&mut e, &self.tree_xx.export_state());
+        self.grad.put_trees(&mut e);
         Ok(())
     }
 
@@ -396,13 +218,23 @@ impl IncrementalMechanism for PrivIncReg1 {
         codec::expect_tag(&mut d, codec::TAG_REG1_LIVE, "priv-inc-reg-1")?;
         let t = d.u64()? as usize;
         let last_theta = d.f64_vec()?;
-        let xy = codec::take_tree(&mut d)?;
-        let xx = codec::take_tree(&mut d)?;
+        let trees = PrivateGradient::take_trees(&mut d)?;
         d.finish()?;
-        self.check_state(t, &last_theta, xy.t, xx.t)?;
-        self.tree_xy.restore_state(&xy)?;
-        self.tree_xx.restore_state(&xx)?;
-        self.t = t;
+        if last_theta.len() != self.set.dim() {
+            return Err(CoreError::InvalidState {
+                reason: format!(
+                    "warm-start iterate has dimension {} (expected {})",
+                    last_theta.len(),
+                    self.set.dim()
+                ),
+            });
+        }
+        if !vector::is_finite(&last_theta) {
+            return Err(CoreError::InvalidState {
+                reason: "warm-start iterate contains NaN/infinite entries".to_string(),
+            });
+        }
+        self.grad.restore(t, &trees)?;
         self.last_theta.copy_from_slice(&last_theta);
         Ok(())
     }

@@ -7,11 +7,14 @@
 //! 2. Tree Mechanism over `Φx̃·y ∈ R^m` and `(Φx̃)(Φx̃)ᵀ ∈ R^{m²}` at
 //!    `(ε/2, δ/2)` each;
 //! 3. private gradient function in the *projected* space and
-//!    `NOISYPROJGRAD` over a Euclidean ball `B₂^m((1+γ)‖C‖) ⊇ ΦC`
-//!    (implementation choice: exact Euclidean projection onto the image
-//!    set `ΦC` has no closed form; by Gordon's theorem the ball is a
-//!    `(1+γ)`-tight superset, and the subsequent lifting step restores
-//!    feasibility in `C` — see DESIGN.md, decision 3);
+//!    `NOISYPROJGRAD` over a Euclidean ball `B₂^m((1+γ)‖C‖) ⊇ ΦC`.
+//!    Steps 2–3 are Algorithm 2 run in `R^m`: the same private gradient
+//!    function `PrivIncReg1` runs (`gradient_fn.rs`), with Lemma 4.1's `α`
+//!    over the ball. The ball is an implementation choice: exact
+//!    Euclidean projection onto the image set `ΦC` has no closed form; by
+//!    Gordon's theorem the ball is a `(1+γ)`-tight superset, and the
+//!    subsequent lifting step restores feasibility in `C` (DESIGN.md,
+//!    decision 3);
 //! 4. lift `ϑ_t ∈ R^m` back to `θ_t ∈ C ⊆ R^d` (Step 9) via
 //!    [`crate::lift::lift_constrained_ls`].
 //!
@@ -20,18 +23,18 @@
 //! `≈ T^{1/3} W^{2/3}/ε` risk. Memory: `O(m² log T + d)`.
 
 use crate::codec::{self, Dec, Enc};
-use crate::descent::{minimize_private_objective_into, DescentScratch, DescentStrategy};
+use crate::descent::DescentStrategy;
 use crate::error::CoreError;
+use crate::gradient_fn::PrivateGradient;
 use crate::lift::{
     lift_constrained_ls_into, sketch_smoothness_with, smoothness_bracket, LiftScratch,
 };
-use crate::stream::IncrementalMechanism;
+use crate::stream::{check_arrivals, IncrementalMechanism};
 use crate::Result;
-use pir_continual::TreeMechanism;
 use pir_dp::{NoiseRng, PrivacyParams};
 use pir_erm::DataPoint;
 use pir_geometry::{ConvexSet, L2Ball, WidthSet};
-use pir_linalg::{vector, Matrix, PowerIterScratch};
+use pir_linalg::{vector, PowerIterScratch};
 use pir_sketch::{gordon, GaussianSketch};
 
 /// Tuning knobs for [`PrivIncReg2`].
@@ -105,7 +108,6 @@ impl Default for PrivIncReg2Config {
 #[derive(Debug)]
 pub struct PrivIncReg2 {
     set: Box<dyn ConvexSet>,
-    t_max: usize,
     config: PrivIncReg2Config,
     sketch: GaussianSketch,
     /// `B₂^m((1+γ)‖C‖) ⊇ ΦC` — the search region in the projected space.
@@ -115,35 +117,26 @@ pub struct PrivIncReg2 {
     /// The lift's `2‖Φ‖²` ([`crate::lift::sketch_smoothness`]): computed
     /// at the first step that needs it, or carried in from a state blob.
     lift_smoothness: Option<f64>,
-    tree_xy: TreeMechanism,
-    tree_xx: TreeMechanism,
+    /// Both projected-space trees, the step buffers and Lemma 4.1's `α`
+    /// over the ball `B₂^m((1+γ)‖C‖)`.
+    grad: PrivateGradient,
     /// Last projected-space iterate (warm start for the per-step PGD).
     last_vartheta: Vec<f64>,
     /// Last lifted release (warm start for the lift FISTA).
     last_theta: Vec<f64>,
     scratch: Reg2Scratch,
-    t: usize,
 }
 
-/// Mechanism-owned step buffers, preallocated at construction and reused
-/// every timestep — the `m²` `Matrix::from_vec` copy per step is gone,
-/// mirroring `PrivIncReg1`'s scratch. Covers both the projected-space
-/// pipeline (`R^m`) and the gauge lift back to `C ⊂ R^d`, so a whole
+/// Mechanism-owned step buffers around the private gradient function's
+/// own, preallocated at construction and reused every timestep: the
+/// embedding in `R^m` and the gauge lift back to `C ⊂ R^d`, so a whole
 /// [`PrivIncReg2::observe_into`] step is allocation-free.
 #[derive(Debug, Clone)]
 struct Reg2Scratch {
     /// Norm-preserving embedding `Φx̃`.
     embedded: Vec<f64>,
-    /// `Φx̃·y` — the projected first-moment stream item.
-    pxy: Vec<f64>,
-    /// `(Φx̃)(Φx̃)ᵀ` — the projected second-moment stream item.
-    outer: Matrix,
-    /// Second-moment tree release `Q_t ∈ R^{m×m}` (symmetrized in place).
-    q_mat: Matrix,
     /// Per-step minimizer `ϑ_t` in the projected space.
     vartheta: Vec<f64>,
-    /// Ridged-surrogate and iteration buffers for the projected descent.
-    descent: DescentScratch,
     /// Residual, column-index and FISTA buffers for the gauge lift
     /// (Step 9); the Step 4 embedding borrows the column indices.
     lift: LiftScratch,
@@ -155,11 +148,7 @@ impl Reg2Scratch {
     fn new(m: usize, d: usize) -> Self {
         Reg2Scratch {
             embedded: vec![0.0; m],
-            pxy: vec![0.0; m],
-            outer: Matrix::zeros(m, m),
-            q_mat: Matrix::zeros(m, m),
             vartheta: vec![0.0; m],
-            descent: DescentScratch::new(m),
             lift: LiftScratch::new(m, d),
             power: PowerIterScratch::new(m, d),
         }
@@ -219,26 +208,30 @@ impl PrivIncReg2 {
         };
         let sketch = GaussianSketch::sample(m, d, rng);
         let proj_ball = L2Ball::new(m, (1.0 + gamma) * set.diameter());
-        let half = params.halve();
-        // ‖Φx̃·y‖ = ‖x‖·|y| ≤ 1 and ‖(Φx̃)(Φx̃)ᵀ‖_F = ‖x‖² ≤ 1.
-        let tree_xy = TreeMechanism::new(m, t_max, 1.0, &half, rng.fork())?;
-        let tree_xx = TreeMechanism::new(m * m, t_max, 1.0, &half, rng.fork())?;
+        // ‖Φx̃·y‖ = ‖x‖·|y| ≤ 1 and ‖(Φx̃)(Φx̃)ᵀ‖_F = ‖x‖² ≤ 1, so the
+        // projected streams keep the trees' per-item norm bound 1.
+        let grad = PrivateGradient::new(
+            &proj_ball,
+            t_max,
+            params,
+            config.beta,
+            config.strategy,
+            config.max_pgd_iters,
+            rng,
+        )?;
         let last_theta = set.project(&vec![0.0; d]);
         Ok(PrivIncReg2 {
             set,
-            t_max,
             config,
             sketch,
             proj_ball,
             gamma,
             combined_width,
             lift_smoothness: None,
-            tree_xy,
-            tree_xx,
+            grad,
             last_vartheta: vec![0.0; m],
             last_theta,
             scratch: Reg2Scratch::new(m, d),
-            t: 0,
         })
     }
 
@@ -273,22 +266,7 @@ impl PrivIncReg2 {
     /// for the largest `popcount(t)` seen so far (see
     /// [`TreeMechanism::memory_slots`](pir_continual::TreeMechanism::memory_slots)).
     pub fn memory_slots(&self) -> usize {
-        self.tree_xx.memory_slots()
-            + self.tree_xy.memory_slots()
-            + self.sketch.m() * self.sketch.d()
-    }
-
-    /// Projected-space gradient-error bound (Lemma 4.1 applied in `R^m`,
-    /// with the Proposition A.1 spectral sharpening).
-    fn gradient_alpha(&self) -> f64 {
-        let beta_each = self.config.beta / (2.0 * self.t_max as f64);
-        let m = self.sketch.m() as f64;
-        let levels = self.tree_xx.levels() as f64;
-        let me = self.tree_xx.sigma()
-            * levels.sqrt()
-            * (2.0 * m.sqrt() + (2.0 * (1.0 / beta_each).ln()).sqrt());
-        let ve = self.tree_xy.error_bound(beta_each);
-        2.0 * (me * self.proj_ball.diameter() + ve)
+        self.grad.memory_slots() + self.sketch.m() * self.sketch.d()
     }
 
     /// Theorem 5.7 leading-term bound
@@ -296,47 +274,24 @@ impl PrivIncReg2 {
     /// (the `OPT`-dependent terms are data-dependent and reported by the
     /// evaluation harness instead).
     pub fn risk_bound_leading(&self) -> f64 {
-        2.0 * self.gradient_alpha() * self.proj_ball.diameter()
+        2.0 * self.grad.alpha() * self.proj_ball.diameter()
     }
 
-    /// The `t`-independent ingredients of the projected-space error bound
-    /// — `(me, α)`, functions of the tree geometry (σ, levels, m) only,
-    /// so the batch paths compute them once per batch.
-    fn error_ingredients(&self) -> (f64, f64) {
-        let beta_each = self.config.beta / (2.0 * self.t_max as f64);
-        let levels = self.tree_xx.levels() as f64;
-        let me = self.tree_xx.sigma()
-            * levels.sqrt()
-            * (2.0 * (self.sketch.m() as f64).sqrt() + (2.0 * (1.0 / beta_each).ln()).sqrt());
-        let ve = self.tree_xy.error_bound(beta_each);
-        let alpha = (2.0 * (me * self.proj_ball.diameter() + ve)).max(1e-12);
-        (me, alpha)
-    }
-
-    /// Contract sweep + overflow check for a batch, before anything is
-    /// consumed (the atomic-rejection contract of `observe_batch`).
-    fn check_batch(&self, batch: &[DataPoint]) -> Result<()> {
-        let d = self.set.dim();
-        for (i, z) in batch.iter().enumerate() {
-            z.validate(d)
-                .map_err(|e| CoreError::InvalidPoint { reason: format!("batch index {i}: {e}") })?;
-        }
-        if self.t + batch.len() > self.t_max {
-            return Err(CoreError::StreamOverflow { t_max: self.t_max });
-        }
-        Ok(())
+    /// The batch contract against this mechanism's dimension and horizon
+    /// (`RobustPrivIncReg2` checks its batches here too).
+    pub(crate) fn check(
+        &self,
+        points: &[DataPoint],
+        batch: bool,
+        out_len: Option<usize>,
+    ) -> Result<()> {
+        check_arrivals(self.set.dim(), points, batch, out_len, Some(self.grad.horizon()))
     }
 
     /// Consume one already-validated point (Steps 4–9 of Algorithm 3) and
     /// write the lifted release into `out` — the allocation-free per-point
-    /// body shared by the step and batch paths. The projected first-moment
-    /// release is *borrowed* from its tree via
-    /// [`TreeMechanism::update_ref`] (read where the tree maintains it
-    /// instead of copied out); the second-moment release still lands in
-    /// scratch because it must be symmetrized.
-    fn consume_into(&mut self, z: &DataPoint, me: f64, alpha: f64, out: &mut [f64]) -> Result<()> {
-        self.t += 1;
-
+    /// body shared by the step and batch paths.
+    fn consume_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
         // Step 4: norm-preserving embedding (zero covariates contribute
         // zero statistics, matching the robust-extension convention; the
         // degenerate case leaves the scratch zero-filled). The lift's
@@ -350,39 +305,17 @@ impl PrivIncReg2 {
             )
             .map_err(CoreError::Linalg)?;
 
-        // Steps 5–6: tree updates in the projected space (trusted internal
-        // data — validated on ingest).
-        vector::scaled_copy_into(z.y, &self.scratch.embedded, &mut self.scratch.pxy);
-        let q_t = self.tree_xy.update_ref(&self.scratch.pxy)?;
-        self.scratch
-            .outer
-            .set_outer(&self.scratch.embedded, &self.scratch.embedded)
-            .map_err(CoreError::Linalg)?;
-        self.tree_xx
-            .update_into(self.scratch.outer.as_slice(), self.scratch.q_mat.as_mut_slice())?;
-
-        // Step 7: private gradient function over ΦC (here: its ball hull),
-        // as borrowed views of the symmetrized release and the tree's
-        // first-moment accumulator.
-        self.scratch.q_mat.symmetrize_mut();
-
-        // Step 8: constrained minimization in the projected space (the
-        // paper's NOISYPROJGRAD or the default ridged-quadratic FISTA —
-        // both post-processing; see crate::descent).
-        let lipschitz = 2.0 * self.t as f64 * (1.0 + self.proj_ball.diameter());
-        minimize_private_objective_into(
-            self.config.strategy,
-            &self.scratch.q_mat,
-            q_t,
+        // Steps 5–8: the private gradient function in the projected space,
+        // minimized over ΦC's ball hull (the paper's NOISYPROJGRAD or the
+        // default ridged-quadratic FISTA — both post-processing; see
+        // crate::descent).
+        self.grad.step_into(
+            &self.scratch.embedded,
+            z.y,
             &self.proj_ball,
-            me,
-            alpha,
-            lipschitz,
-            self.config.max_pgd_iters,
             &self.last_vartheta,
-            &mut self.scratch.descent,
             &mut self.scratch.vartheta,
-        );
+        )?;
         self.last_vartheta.copy_from_slice(&self.scratch.vartheta);
 
         // Step 9: lift back to C, written straight into the release
@@ -404,27 +337,6 @@ impl PrivIncReg2 {
         self.last_theta.copy_from_slice(out);
         Ok(())
     }
-
-    /// One Algorithm-3 step, written into `out` — the primitive behind
-    /// both `observe` and `observe_into`. The whole step — embedding,
-    /// tree updates, descent, and the gauge lift back to `C` — runs
-    /// allocation-free on mechanism-owned scratch
-    /// (`tests/alloc_steady_state.rs` enforces this with a counting
-    /// global allocator).
-    fn step_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
-        let d = self.set.dim();
-        if out.len() != d {
-            return Err(CoreError::InvalidConfig {
-                reason: format!("release buffer length {} != dimension {d}", out.len()),
-            });
-        }
-        z.validate(d).map_err(|e| CoreError::InvalidPoint { reason: e.to_string() })?;
-        if self.t >= self.t_max {
-            return Err(CoreError::StreamOverflow { t_max: self.t_max });
-        }
-        let (me, alpha) = self.error_ingredients();
-        self.consume_into(z, me, alpha, out)
-    }
 }
 
 impl IncrementalMechanism for PrivIncReg2 {
@@ -437,71 +349,48 @@ impl IncrementalMechanism for PrivIncReg2 {
     }
 
     fn t(&self) -> usize {
-        self.t
+        self.grad.t()
     }
 
     fn observe(&mut self, z: &DataPoint) -> Result<Vec<f64>> {
         let mut out = vec![0.0; self.set.dim()];
-        self.step_into(z, &mut out)?;
+        self.observe_into(z, &mut out)?;
         Ok(out)
     }
 
+    /// One Algorithm-3 step, written into `out` — the primitive behind
+    /// `observe`. The whole step — embedding, tree updates, descent, and
+    /// the gauge lift back to `C` — runs allocation-free on
+    /// mechanism-owned scratch (`tests/alloc_steady_state.rs` enforces
+    /// this with a counting global allocator).
     fn observe_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
-        self.step_into(z, out)
+        self.check(std::slice::from_ref(z), false, Some(out.len()))?;
+        self.consume_into(z, out)
     }
 
-    /// Amortized batch path — release-for-release identical to the
-    /// sequential loop (each point runs the same per-point body, against
-    /// the same tree states and the deterministic sketch, in the same
-    /// order):
-    ///
-    /// 1. one contract sweep + overflow check over the batch (atomic
-    ///    rejection);
-    /// 2. the `t`-independent error bounds hoisted out of the loop;
-    /// 3. embedding, both trees, descent, and the gauge lift driven per
-    ///    point on the mechanism's own step scratch, the projected
-    ///    first-moment release borrowed from its tree — the only per-point
-    ///    allocation is the returned estimator (the flat-buffer
-    ///    [`observe_batch_into`](IncrementalMechanism::observe_batch_into)
-    ///    form performs none at all).
+    /// Release-for-release identical to the sequential loop (the sketch
+    /// is deterministic), with the whole batch checked (contract and
+    /// horizon) before any point is consumed.
     fn observe_batch(&mut self, batch: &[DataPoint]) -> Result<Vec<Vec<f64>>> {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.check_batch(batch)?;
-        let (me, alpha) = self.error_ingredients();
+        self.check(batch, true, None)?;
         let d = self.set.dim();
-        let mut out = Vec::with_capacity(batch.len());
-        for z in batch {
-            let mut theta = vec![0.0; d];
-            self.consume_into(z, me, alpha, &mut theta)?;
-            out.push(theta);
-        }
-        Ok(out)
+        batch
+            .iter()
+            .map(|z| {
+                let mut theta = vec![0.0; d];
+                self.consume_into(z, &mut theta)?;
+                Ok(theta)
+            })
+            .collect()
     }
 
     /// The zero-allocation batch primitive: identical consumption order
     /// and releases as [`observe_batch`](IncrementalMechanism::observe_batch),
-    /// written into the caller's flat buffer. Steady state touches the
-    /// heap zero times for any batch size.
+    /// written into the caller's flat buffer.
     fn observe_batch_into(&mut self, batch: &[DataPoint], out: &mut [f64]) -> Result<()> {
-        let d = self.set.dim();
-        if out.len() != batch.len() * d {
-            return Err(CoreError::InvalidConfig {
-                reason: format!(
-                    "batch release buffer length {} != {} points x dimension {d}",
-                    out.len(),
-                    batch.len()
-                ),
-            });
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.check_batch(batch)?;
-        let (me, alpha) = self.error_ingredients();
-        for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(d)) {
-            self.consume_into(z, me, alpha, chunk)?;
+        self.check(batch, true, Some(out.len()))?;
+        for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(self.set.dim())) {
+            self.consume_into(z, chunk)?;
         }
         Ok(())
     }
@@ -522,11 +411,10 @@ impl IncrementalMechanism for PrivIncReg2 {
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
         e.u8(codec::TAG_REG2_SMOOTHNESS);
-        e.u64(self.t as u64);
+        e.u64(self.grad.t() as u64);
         e.f64_slice(&self.last_vartheta);
         e.f64_slice(&self.last_theta);
-        codec::put_tree(&mut e, &self.tree_xy.export_state());
-        codec::put_tree(&mut e, &self.tree_xx.export_state());
+        self.grad.put_trees(&mut e);
         codec::put_opt_f64(&mut e, self.lift_smoothness);
         Ok(())
     }
@@ -537,8 +425,7 @@ impl IncrementalMechanism for PrivIncReg2 {
         let t = d.u64()? as usize;
         let last_vartheta = d.f64_vec()?;
         let last_theta = d.f64_vec()?;
-        let xy = codec::take_tree(&mut d)?;
-        let xx = codec::take_tree(&mut d)?;
+        let trees = PrivateGradient::take_trees(&mut d)?;
         let smoothness = codec::take_opt_f64(&mut d)?;
         d.finish()?;
         if let Some(l) = smoothness {
@@ -552,19 +439,6 @@ impl IncrementalMechanism for PrivIncReg2 {
                     ),
                 });
             }
-        }
-        if t > self.t_max {
-            return Err(CoreError::InvalidState {
-                reason: format!("t = {t} exceeds horizon T = {}", self.t_max),
-            });
-        }
-        if xy.t != t || xx.t != t {
-            return Err(CoreError::InvalidState {
-                reason: format!(
-                    "tree step counters ({}, {}) disagree with mechanism t = {t}",
-                    xy.t, xx.t
-                ),
-            });
         }
         if last_vartheta.len() != self.sketch.m() {
             return Err(CoreError::InvalidState {
@@ -589,9 +463,7 @@ impl IncrementalMechanism for PrivIncReg2 {
                 reason: "warm-start iterate contains NaN/infinite entries".to_string(),
             });
         }
-        self.tree_xy.restore_state(&xy)?;
-        self.tree_xx.restore_state(&xx)?;
-        self.t = t;
+        self.grad.restore(t, &trees)?;
         self.last_vartheta.copy_from_slice(&last_vartheta);
         self.last_theta.copy_from_slice(&last_theta);
         self.lift_smoothness = smoothness;

@@ -28,6 +28,8 @@ pub type DomainOracle = Box<dyn Fn(&[f64]) -> bool + Send + Sync>;
 pub struct RobustPrivIncReg2 {
     inner: PrivIncReg2,
     oracle: DomainOracle,
+    /// The `(0, 0)` substitute.
+    zero: DataPoint,
     substituted: usize,
 }
 
@@ -57,7 +59,8 @@ impl RobustPrivIncReg2 {
         config: PrivIncReg2Config,
     ) -> Result<Self> {
         let inner = PrivIncReg2::new(set, domain_width, t_max, params, rng, config)?;
-        Ok(RobustPrivIncReg2 { inner, oracle, substituted: 0 })
+        let zero = DataPoint::new(vec![0.0; inner.dim()], 0.0);
+        Ok(RobustPrivIncReg2 { inner, oracle, zero, substituted: 0 })
     }
 
     /// Number of stream points replaced by `(0, 0)` so far.
@@ -89,13 +92,34 @@ impl IncrementalMechanism for RobustPrivIncReg2 {
     }
 
     fn observe(&mut self, z: &DataPoint) -> Result<Vec<f64>> {
+        let mut out = vec![0.0; self.inner.dim()];
+        self.observe_into(z, &mut out)?;
+        Ok(out)
+    }
+
+    /// A substituted point is counted only once the inner step accepts it.
+    fn observe_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
         if (self.oracle)(&z.x) {
-            self.inner.observe(z)
-        } else {
-            self.substituted += 1;
-            let zero = DataPoint::new(vec![0.0; self.inner.dim()], 0.0);
-            self.inner.observe(&zero)
+            return self.inner.observe_into(z, out);
         }
+        self.inner.observe_into(&self.zero, out)?;
+        self.substituted += 1;
+        Ok(())
+    }
+
+    /// The whole batch, as it arrives, is checked against the contract and
+    /// the inner horizon before any point is consumed or substituted.
+    fn observe_batch(&mut self, batch: &[DataPoint]) -> Result<Vec<Vec<f64>>> {
+        self.inner.check(batch, true, None)?;
+        batch.iter().map(|z| self.observe(z)).collect()
+    }
+
+    fn observe_batch_into(&mut self, batch: &[DataPoint], out: &mut [f64]) -> Result<()> {
+        self.inner.check(batch, true, Some(out.len()))?;
+        for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(self.inner.dim())) {
+            self.observe_into(z, chunk)?;
+        }
+        Ok(())
     }
 }
 

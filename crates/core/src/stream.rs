@@ -1,7 +1,52 @@
 //! The streaming interface shared by all mechanisms.
 
-use crate::Result;
+use crate::{CoreError, Result};
 use pir_erm::DataPoint;
+
+/// The contract an observe call checks before it consumes anything, so a
+/// rejected call leaves the mechanism as it was:
+///
+/// 1. `out_len`, the caller's release buffer if it passed one, holds one
+///    `d`-vector per release: `d` for a single step, `points.len() · d`
+///    for a batch;
+/// 2. every point of `points` meets the §2 domain contract (a batch names
+///    the index of the point it rejects);
+/// 3. with `horizon = Some((t, T))`, the releases fit: `t + n ≤ T`.
+///
+/// A single step (`batch = false`) passes its point, or none when the
+/// mechanism's own `observe` applies the contract. The checks allocate
+/// only to describe a rejection, so the accepting path is allocation-free.
+///
+/// # Errors
+/// [`CoreError::InvalidConfig`] for a wrong-length buffer,
+/// [`CoreError::InvalidPoint`] for a contract violation and
+/// [`CoreError::StreamOverflow`] past the horizon, in that order.
+pub(crate) fn check_arrivals(
+    d: usize,
+    points: &[DataPoint],
+    batch: bool,
+    out_len: Option<usize>,
+    horizon: Option<(usize, usize)>,
+) -> Result<()> {
+    let n = if batch { points.len() } else { 1 };
+    if let Some(len) = out_len.filter(|&len| len != n * d) {
+        let reason = if batch {
+            format!("batch release buffer length {len} != {n} points x dimension {d}")
+        } else {
+            format!("release buffer length {len} != dimension {d}")
+        };
+        return Err(CoreError::InvalidConfig { reason });
+    }
+    for (i, z) in points.iter().enumerate() {
+        z.validate(d).map_err(|e| CoreError::InvalidPoint {
+            reason: if batch { format!("batch index {i}: {e}") } else { e.to_string() },
+        })?;
+    }
+    match horizon {
+        Some((t, t_max)) if t + n > t_max => Err(CoreError::StreamOverflow { t_max }),
+        _ => Ok(()),
+    }
+}
 
 /// A private incremental ERM mechanism: consumes the stream one point at a
 /// time and releases an estimator after *every* arrival. The full release
@@ -33,8 +78,9 @@ pub trait IncrementalMechanism: Send {
     /// — **release-for-release identical** to the allocating method (the
     /// law checked by `tests/into_paths.rs`).
     ///
-    /// The default implementation delegates to `observe` and copies, so
-    /// every implementor gets the API for free; the paper mechanisms
+    /// The default implementation checks `out` and delegates to `observe`
+    /// and copies, so every implementor gets the API for free; the paper
+    /// mechanisms
     /// ([`crate::PrivIncReg1`], [`crate::PrivIncReg2`]) override it as
     /// their *primitive* and run the whole step — tree updates, gradient
     /// assembly, descent — against mechanism-owned scratch, so a
@@ -73,15 +119,7 @@ pub trait IncrementalMechanism: Send {
     /// wrong-length `out` is rejected (with
     /// [`crate::CoreError::InvalidConfig`]) before the point is consumed.
     fn observe_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
-        if out.len() != self.dim() {
-            return Err(crate::CoreError::InvalidConfig {
-                reason: format!(
-                    "release buffer length {} != mechanism dimension {}",
-                    out.len(),
-                    self.dim()
-                ),
-            });
-        }
+        check_arrivals(self.dim(), &[], false, Some(out.len()), None)?;
         let theta = self.observe(z)?;
         out.copy_from_slice(&theta);
         Ok(())
@@ -95,31 +133,23 @@ pub trait IncrementalMechanism: Send {
     /// `tests/batch_equivalence.rs`).
     ///
     /// The default implementation validates every point up front and then
-    /// loops. Mechanisms with per-step setup worth amortizing override
-    /// it: [`crate::PrivIncReg1`] and [`crate::PrivIncReg2`] hoist their
-    /// per-batch constants, reuse the outer-product scratch across the
-    /// batch, and drive the tree-mechanism node updates / sketch
-    /// applications through the batched entry points of `pir-continual`
-    /// and `pir-sketch`.
+    /// loops.
     ///
     /// Batching tightens the failure contract: the *whole* batch is
     /// validated before anything is consumed, so a contract violation
     /// anywhere rejects the batch atomically (the sequential loop would
-    /// consume the valid prefix first). The paper mechanisms additionally
-    /// reject batches that would overflow the horizon without consuming
-    /// anything. On an empty batch this is a no-op returning an empty
-    /// vector.
+    /// consume the valid prefix first). The mechanisms with a horizon
+    /// ([`crate::PrivIncReg1`], [`crate::PrivIncReg2`],
+    /// [`crate::RobustPrivIncReg2`], [`crate::PrivIncErm`]) override it to
+    /// also reject a batch that would overflow the horizon without
+    /// consuming anything. On an empty batch this is a no-op returning an
+    /// empty vector.
     ///
     /// # Errors
     /// Domain-contract violations anywhere in the batch, stream overflow,
     /// or internal failures.
     fn observe_batch(&mut self, batch: &[DataPoint]) -> Result<Vec<Vec<f64>>> {
-        let d = self.dim();
-        for (i, z) in batch.iter().enumerate() {
-            z.validate(d).map_err(|e| crate::CoreError::InvalidPoint {
-                reason: format!("batch index {i}: {e}"),
-            })?;
-        }
+        check_arrivals(self.dim(), batch, true, None, None)?;
         batch.iter().map(|z| self.observe(z)).collect()
     }
 
@@ -133,15 +163,14 @@ pub trait IncrementalMechanism: Send {
     /// The default implementation validates the whole batch up front
     /// (keeping the atomic-rejection contract for contract violations)
     /// and then loops [`observe_into`](IncrementalMechanism::observe_into)
-    /// over the chunks. The paper mechanisms override it as their batch
-    /// *primitive*: per-batch constants hoisted, tree releases read where
-    /// the trees maintain them, and every release written straight into
-    /// the caller's buffer — so a steady-state call performs **zero heap
+    /// over the chunks. The regression mechanisms override it as their
+    /// batch *primitive*, writing every release straight into the
+    /// caller's buffer — so a steady-state call performs **zero heap
     /// allocations** for any batch size (the invariant pinned by
     /// `tests/alloc_steady_state.rs`).
     ///
-    /// On error, `out` contents are unspecified; overriders additionally
-    /// guarantee atomic rejection for overflowing batches.
+    /// On error, `out` contents are unspecified; the mechanisms with a
+    /// horizon additionally reject overflowing batches atomically.
     ///
     /// # Errors
     /// As [`observe_batch`](IncrementalMechanism::observe_batch); a
@@ -149,20 +178,7 @@ pub trait IncrementalMechanism: Send {
     /// [`crate::CoreError::InvalidConfig`]) before anything is consumed.
     fn observe_batch_into(&mut self, batch: &[DataPoint], out: &mut [f64]) -> Result<()> {
         let d = self.dim();
-        if out.len() != batch.len() * d {
-            return Err(crate::CoreError::InvalidConfig {
-                reason: format!(
-                    "batch release buffer length {} != {} points x dimension {d}",
-                    out.len(),
-                    batch.len()
-                ),
-            });
-        }
-        for (i, z) in batch.iter().enumerate() {
-            z.validate(d).map_err(|e| crate::CoreError::InvalidPoint {
-                reason: format!("batch index {i}: {e}"),
-            })?;
-        }
+        check_arrivals(d, batch, true, Some(out.len()), None)?;
         for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(d)) {
             self.observe_into(z, chunk)?;
         }

@@ -147,6 +147,130 @@ fn batch_rejection_is_atomic() {
     assert_eq!(mech.t(), 0);
     // Empty batches are no-ops.
     assert_eq!(mech.observe_batch(&[]).unwrap().len(), 0);
+
+    // Every mechanism with a horizon, through both batch paths: a
+    // mid-batch contract violation, a batch past the horizon and (for the
+    // flat-buffer form) a wrong-length buffer each consume nothing, so the
+    // mechanism keeps releasing what an untouched twin releases.
+    let d = 3;
+    let points = stream(8, d, 10);
+    let mut invalid = points[3..6].to_vec();
+    invalid[1] = DataPoint::new(vec![2.0, 0.0, 0.0], 0.0); // ‖x‖ > 1
+    let overflow = [&points[3..], &points[..1]].concat(); // t = 3, T = 8
+    for (name, build) in atomic_builders(&params) {
+        for into in [false, true] {
+            let (mut mech, mut twin) = (build(), build());
+            for z in &points[..3] {
+                assert_eq!(bits(&mech.observe(z).unwrap()), bits(&twin.observe(z).unwrap()));
+            }
+            let rejects: [(&[DataPoint], usize); 3] = [
+                (&invalid, invalid.len() * d),
+                (&overflow, overflow.len() * d),
+                (&points[3..5], 2 * d + 1),
+            ];
+            for (batch, out_len) in rejects {
+                let err = if into {
+                    mech.observe_batch_into(batch, &mut vec![0.0; out_len]).is_err()
+                } else if out_len == batch.len() * d {
+                    mech.observe_batch(batch).is_err()
+                } else {
+                    continue; // only the flat-buffer form takes a buffer
+                };
+                assert!(err, "{name} (into = {into}) accepted a batch it must reject");
+                assert_eq!(mech.t(), 3, "{name} (into = {into}) consumed a rejected batch");
+            }
+            let next = mech.observe_batch(&points[3..6]).unwrap();
+            for (t, (z, got)) in points[3..6].iter().zip(&next).enumerate() {
+                let want = twin.observe(z).unwrap();
+                assert_eq!(
+                    bits(got),
+                    bits(&want),
+                    "{name} (into = {into}) diverged at t={}",
+                    t + 4
+                );
+            }
+        }
+    }
+
+    // The robust wrapper counts a substitution only once it is consumed.
+    let mut robust = robust_reg2(&params);
+    let long = [&points[..], &points[..1]].concat(); // t = 0, T = 8
+    assert!(long.iter().any(|z| z.x[0] < 0.0), "the batch must hold off-domain points");
+    assert!(robust.observe_batch(&long).is_err());
+    assert!(robust.observe_batch_into(&long, &mut vec![0.0; long.len() * d]).is_err());
+    assert_eq!((robust.t(), robust.substituted()), (0, 0));
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `RobustPrivIncReg2` over `B₁³` with horizon 8, treating covariates
+/// with a negative first entry as off-domain.
+fn robust_reg2(params: &PrivacyParams) -> RobustPrivIncReg2 {
+    let mut rng = NoiseRng::seed_from_u64(12);
+    RobustPrivIncReg2::new(
+        Box::new(L1Ball::unit(3)),
+        1.0,
+        Box::new(|x: &[f64]| x[0] >= 0.0),
+        8,
+        params,
+        &mut rng,
+        PrivIncReg2Config { m_override: Some(2), ..Default::default() },
+    )
+    .unwrap()
+}
+
+type Builder<'a> = Box<dyn Fn() -> Box<dyn IncrementalMechanism> + 'a>;
+
+/// Seeded builders for every mechanism with a horizon, in dimension 3
+/// with horizon 8.
+fn atomic_builders(params: &PrivacyParams) -> Vec<(&'static str, Builder<'_>)> {
+    vec![
+        (
+            "reg1",
+            Box::new(move || {
+                let mut rng = NoiseRng::seed_from_u64(11);
+                let config = PrivIncReg1Config::default();
+                Box::new(
+                    PrivIncReg1::new(Box::new(L2Ball::unit(3)), 8, params, &mut rng, config)
+                        .unwrap(),
+                ) as Box<dyn IncrementalMechanism>
+            }),
+        ),
+        (
+            "reg2",
+            Box::new(move || {
+                let mut rng = NoiseRng::seed_from_u64(12);
+                let config = PrivIncReg2Config { m_override: Some(2), ..Default::default() };
+                Box::new(
+                    PrivIncReg2::new(Box::new(L1Ball::unit(3)), 1.0, 8, params, &mut rng, config)
+                        .unwrap(),
+                ) as Box<dyn IncrementalMechanism>
+            }),
+        ),
+        (
+            "robust-reg2",
+            Box::new(move || Box::new(robust_reg2(params)) as Box<dyn IncrementalMechanism>),
+        ),
+        (
+            "erm",
+            Box::new(move || {
+                Box::new(
+                    PrivIncErm::new(
+                        Box::new(SquaredLoss),
+                        Box::new(NoisyGdSolver { iters: 4, beta: 0.1 }),
+                        Box::new(L2Ball::unit(3)),
+                        8,
+                        params,
+                        TauRule::Fixed(2),
+                        NoiseRng::seed_from_u64(13),
+                    )
+                    .unwrap(),
+                ) as Box<dyn IncrementalMechanism>
+            }),
+        ),
+    ]
 }
 
 #[test]
