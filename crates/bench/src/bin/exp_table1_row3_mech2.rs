@@ -4,39 +4,13 @@
 //! i.e. *sublinear in T* and only poly-logarithmic in `d` when
 //! `W = w(X) + w(C) = polylog(d)`.
 
+use pir_bench::e4::{Cell, SPARSITY};
 use pir_bench::{fitting, median, report, runner, scaled};
-use pir_core::evaluate::evaluate_squared_loss;
-use pir_core::{PrivIncReg2, PrivIncReg2Config};
-use pir_datagen::{linear_stream, CovariateKind, LinearModel};
-use pir_dp::{NoiseRng, PrivacyParams};
 use pir_geometry::{KSparseDomain, L1Ball, WidthSet};
 
-const SPARSITY: usize = 3;
-
 fn run_cell(d: usize, t: usize, eps: f64, noise_std: f64, seed: u64) -> (f64, f64, usize) {
-    let params = PrivacyParams::approx(eps, 1e-6).unwrap();
-    let mut rng = NoiseRng::seed_from_u64(seed);
-    // Anchored-sparse covariates: k-sparse (low-width domain) with a
-    // dimension-independent signal on coordinate 0; θ* ∈ B₁.
-    let mut theta_star = vec![0.0; d];
-    theta_star[0] = 0.95;
-    let model = LinearModel { theta_star, noise_std };
-    let stream =
-        linear_stream(t, d, CovariateKind::AnchoredSparse { k: SPARSITY }, &model, &mut rng);
-    let domain = KSparseDomain::new(d, SPARSITY, 1.0);
-    let mut mech = PrivIncReg2::new(
-        Box::new(L1Ball::unit(d)),
-        domain.width_bound(),
-        t,
-        &params,
-        &mut rng,
-        PrivIncReg2Config { gordon_constant: 0.02, lift_iters: 60, ..Default::default() },
-    )
-    .unwrap();
-    let m = mech.m();
-    let rep = evaluate_squared_loss(&mut mech, &stream, Box::new(L1Ball::unit(d)), (t / 8).max(1))
-        .unwrap();
-    (rep.max_excess(), rep.final_opt(), m)
+    let out = Cell { d, t, eps, noise_std, seed }.run();
+    (out.max_excess, out.final_opt, out.m)
 }
 
 fn main() {

@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod e4;
 pub mod fitting;
 pub mod report;
 pub mod runner;

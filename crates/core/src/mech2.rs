@@ -124,6 +124,9 @@ pub struct PrivIncReg2 {
     last_vartheta: Vec<f64>,
     /// Last lifted release (warm start for the lift FISTA).
     last_theta: Vec<f64>,
+    /// FISTA iterations the last step's lift used (a diagnostic, not
+    /// part of the state blob).
+    last_lift_iters: usize,
     scratch: Reg2Scratch,
 }
 
@@ -231,6 +234,7 @@ impl PrivIncReg2 {
             grad,
             last_vartheta: vec![0.0; m],
             last_theta,
+            last_lift_iters: 0,
             scratch: Reg2Scratch::new(m, d),
         })
     }
@@ -258,6 +262,14 @@ impl PrivIncReg2 {
     /// The sketch (immutable — fixed for the stream's lifetime).
     pub fn sketch(&self) -> &GaussianSketch {
         &self.sketch
+    }
+
+    /// FISTA iterations the gauge lift (Step 9) used at the last step:
+    /// at most `lift_iters`, fewer once its stop rule fires. Zero before
+    /// the first step and after a state restore (it is not part of the
+    /// state blob).
+    pub fn last_lift_iters(&self) -> usize {
+        self.last_lift_iters
     }
 
     /// Reserved memory in `f64` slots: `O(m² log T + m·d)` (the `m·d`
@@ -291,7 +303,7 @@ impl PrivIncReg2 {
     /// Consume one already-validated point (Steps 4–9 of Algorithm 3) and
     /// write the lifted release into `out` — the allocation-free per-point
     /// body shared by the step and batch paths.
-    fn consume_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
+    pub(crate) fn consume_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
         // Step 4: norm-preserving embedding (zero covariates contribute
         // zero statistics, matching the robust-extension convention; the
         // degenerate case leaves the scratch zero-filled). The lift's
@@ -324,7 +336,7 @@ impl PrivIncReg2 {
         let smoothness = *self
             .lift_smoothness
             .get_or_insert_with(|| sketch_smoothness_with(&self.sketch, &mut self.scratch.power));
-        lift_constrained_ls_into(
+        self.last_lift_iters = lift_constrained_ls_into(
             &self.sketch,
             &self.scratch.vartheta,
             self.set.as_ref(),
@@ -467,6 +479,7 @@ impl IncrementalMechanism for PrivIncReg2 {
         self.last_vartheta.copy_from_slice(&last_vartheta);
         self.last_theta.copy_from_slice(&last_theta);
         self.lift_smoothness = smoothness;
+        self.last_lift_iters = 0;
         Ok(())
     }
 }

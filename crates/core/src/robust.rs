@@ -76,6 +76,18 @@ impl RobustPrivIncReg2 {
     pub fn inner(&self) -> &PrivIncReg2 {
         &self.inner
     }
+
+    /// Consume one already-checked point, substituting `(0, 0)` when the
+    /// oracle rejects its covariate. A substituted point is counted only
+    /// once the inner step accepts it.
+    fn consume_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
+        if (self.oracle)(&z.x) {
+            return self.inner.consume_into(z, out);
+        }
+        self.inner.consume_into(&self.zero, out)?;
+        self.substituted += 1;
+        Ok(())
+    }
 }
 
 impl IncrementalMechanism for RobustPrivIncReg2 {
@@ -97,27 +109,32 @@ impl IncrementalMechanism for RobustPrivIncReg2 {
         Ok(out)
     }
 
-    /// A substituted point is counted only once the inner step accepts it.
+    /// The point is checked against the contract and the horizon before
+    /// the oracle sees it, as a one-point batch is.
     fn observe_into(&mut self, z: &DataPoint, out: &mut [f64]) -> Result<()> {
-        if (self.oracle)(&z.x) {
-            return self.inner.observe_into(z, out);
-        }
-        self.inner.observe_into(&self.zero, out)?;
-        self.substituted += 1;
-        Ok(())
+        self.inner.check(std::slice::from_ref(z), false, Some(out.len()))?;
+        self.consume_into(z, out)
     }
 
     /// The whole batch, as it arrives, is checked against the contract and
     /// the inner horizon before any point is consumed or substituted.
     fn observe_batch(&mut self, batch: &[DataPoint]) -> Result<Vec<Vec<f64>>> {
         self.inner.check(batch, true, None)?;
-        batch.iter().map(|z| self.observe(z)).collect()
+        let d = self.inner.dim();
+        batch
+            .iter()
+            .map(|z| {
+                let mut theta = vec![0.0; d];
+                self.consume_into(z, &mut theta)?;
+                Ok(theta)
+            })
+            .collect()
     }
 
     fn observe_batch_into(&mut self, batch: &[DataPoint], out: &mut [f64]) -> Result<()> {
         self.inner.check(batch, true, Some(out.len()))?;
         for (z, chunk) in batch.iter().zip(out.chunks_exact_mut(self.inner.dim())) {
-            self.observe_into(z, chunk)?;
+            self.consume_into(z, chunk)?;
         }
         Ok(())
     }
@@ -163,6 +180,46 @@ mod tests {
         mech.observe(&DataPoint::new(dense, 0.3)).unwrap();
         assert_eq!(mech.substituted(), 1);
         assert_eq!(mech.t(), 2);
+    }
+
+    /// A single observe checks the §2 contract before the oracle, as a
+    /// one-point batch does: an off-domain point that also breaks the
+    /// contract is refused, not substituted, on both paths.
+    #[test]
+    fn single_observe_matches_a_one_point_batch() {
+        let d = 3;
+        let spawn = || {
+            RobustPrivIncReg2::new(
+                Box::new(L1Ball::unit(d)),
+                1.0,
+                Box::new(|x: &[f64]| x[0] >= 0.0),
+                8,
+                &params(),
+                &mut NoiseRng::seed_from_u64(5),
+                PrivIncReg2Config { m_override: Some(2), ..Default::default() },
+            )
+            .unwrap()
+        };
+        let points = [
+            DataPoint::new(vec![0.5, 0.1, 0.0], 0.2),
+            DataPoint::new(vec![-0.5, 0.1, 0.0], 0.2),
+            DataPoint::new(vec![-2.0, 0.0, 0.0], 0.2),
+            DataPoint::new(vec![0.3, 0.0, 0.0], 1.5),
+        ];
+        let (mut single, mut batched) = (spawn(), spawn());
+        for z in &points {
+            let a = single.observe(z);
+            let b = batched.observe_batch(std::slice::from_ref(z));
+            match (&a, &b) {
+                (Ok(theta), Ok(thetas)) => assert_eq!(thetas, &vec![theta.clone()]),
+                (Err(_), Err(_)) => {}
+                _ => panic!("observe {a:?} vs one-point batch {b:?} on {z:?}"),
+            }
+            assert_eq!(single.t(), batched.t());
+            assert_eq!(single.substituted(), batched.substituted());
+        }
+        assert_eq!((single.t(), single.substituted()), (2, 1));
+        assert!(matches!(single.observe(&points[2]), Err(crate::CoreError::InvalidPoint { .. })));
     }
 
     #[test]

@@ -27,6 +27,6 @@ pub mod pgd;
 pub use noisy::{iterations_for_accuracy, noisy_projected_gradient, NoisyPgdConfig};
 pub use objective::{Objective, Quadratic, QuadraticView};
 pub use pgd::{
-    fista, fista_into, fista_into_adaptive, frank_wolfe, projected_gradient, FistaScratch,
-    PgdConfig, StepSize,
+    fista, fista_into, fista_into_adaptive, fista_into_restarting, frank_wolfe, projected_gradient,
+    FistaScratch, PgdConfig, StepSize,
 };

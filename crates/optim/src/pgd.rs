@@ -125,28 +125,7 @@ pub fn fista_into<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
     scratch: &mut FistaScratch,
     out: &mut [f64],
 ) {
-    assert!(smoothness > 0.0, "fista needs a positive smoothness constant");
-    assert_eq!(out.len(), theta0.len(), "fista_into: output length mismatch");
-    assert_eq!(scratch.g.len(), theta0.len(), "fista_into: scratch dimension mismatch");
-    let step = 1.0 / smoothness;
-    let FistaScratch { g, momentum, raw, next } = scratch;
-    // `out` holds the current iterate θ_k throughout.
-    set.project_into(theta0, out);
-    momentum.copy_from_slice(out);
-    let mut t_k = 1.0f64;
-    for _ in 0..iters {
-        obj.gradient_into(momentum, g);
-        raw.copy_from_slice(momentum);
-        vector::axpy(-step, g, raw);
-        set.project_into(raw, next);
-        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t_k * t_k).sqrt());
-        let beta = (t_k - 1.0) / t_next;
-        for ((m, &n), &p) in momentum.iter_mut().zip(next.iter()).zip(out.iter()) {
-            *m = n + beta * (n - p);
-        }
-        out.copy_from_slice(next);
-        t_k = t_next;
-    }
+    fista_loop::<false, O, C>(obj, set, smoothness, iters, 0.0, theta0, scratch, out);
 }
 
 /// [`fista_into`] with a relative-progress stopping rule: the loop exits
@@ -156,9 +135,9 @@ pub fn fista_into<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
 ///
 /// Every iteration it does perform is **bit-identical** to the
 /// corresponding [`fista_into`] iteration — the rule only decides when to
-/// stop, never how to step — so with `rel_tol = 0` the two are
-/// indistinguishable. A tight tolerance (the descent uses `1e-10`, the
-/// lift `1e-8` — each documented and property-tested at its call site)
+/// stop, never how to step — and `rel_tol = 0` turns the rule off, so
+/// the two are then indistinguishable. A tight tolerance (the descent
+/// uses `1e-10` — documented and property-tested at its call site)
 /// keeps the returned iterate within the tail movement of the truncated
 /// iterations: FISTA's momentum can amplify one step by at most the
 /// remaining-iteration count, so callers that need a value guarantee pick
@@ -177,12 +156,58 @@ pub fn fista_into_adaptive<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
     scratch: &mut FistaScratch,
     out: &mut [f64],
 ) -> usize {
+    fista_loop::<false, O, C>(obj, set, smoothness, iters, rel_tol, theta0, scratch, out)
+}
+
+/// [`fista_into_adaptive`] with gradient-based adaptive momentum restart
+/// (O'Donoghue & Candès 2015): whenever the new iterate `θ_{k+1}` makes
+/// `⟨y_k − θ_{k+1}, θ_{k+1} − θ_k⟩ > 0` — the momentum point `y_k` has
+/// carried the step uphill — the momentum sequence resets to `t_k = 1`,
+/// so `β = 0` and the next momentum point is `θ_{k+1}` itself.
+///
+/// Restart removes the oscillation plain FISTA shows once it is near a
+/// minimizer, so a relative-progress stop can fire where plain FISTA
+/// keeps moving for the whole budget; it also changes the trajectory,
+/// so the iterates are *not* those of [`fista_into_adaptive`]. Returns
+/// the number of iterations performed; the stop rule, `rel_tol = 0` and
+/// the panics are as in [`fista_into_adaptive`].
+#[allow(clippy::too_many_arguments)]
+pub fn fista_into_restarting<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
+    obj: &O,
+    set: &C,
+    smoothness: f64,
+    iters: usize,
+    rel_tol: f64,
+    theta0: &[f64],
+    scratch: &mut FistaScratch,
+    out: &mut [f64],
+) -> usize {
+    fista_loop::<true, O, C>(obj, set, smoothness, iters, rel_tol, theta0, scratch, out)
+}
+
+/// The one FISTA loop body behind [`fista_into`],
+/// [`fista_into_adaptive`] and [`fista_into_restarting`]. With
+/// `RESTART = false` each iteration is the plain FISTA step, so the
+/// three public forms differ only in when they stop and whether they
+/// restart.
+#[allow(clippy::too_many_arguments)]
+fn fista_loop<const RESTART: bool, O: Objective + ?Sized, C: ConvexSet + ?Sized>(
+    obj: &O,
+    set: &C,
+    smoothness: f64,
+    iters: usize,
+    rel_tol: f64,
+    theta0: &[f64],
+    scratch: &mut FistaScratch,
+    out: &mut [f64],
+) -> usize {
     assert!(smoothness > 0.0, "fista needs a positive smoothness constant");
     assert!(rel_tol.is_finite() && rel_tol >= 0.0, "fista stop tolerance must be finite and >= 0");
-    assert_eq!(out.len(), theta0.len(), "fista_into_adaptive: output length mismatch");
-    assert_eq!(scratch.g.len(), theta0.len(), "fista_into_adaptive: scratch dimension mismatch");
+    assert_eq!(out.len(), theta0.len(), "fista: output length mismatch");
+    assert_eq!(scratch.g.len(), theta0.len(), "fista: scratch dimension mismatch");
     let step = 1.0 / smoothness;
     let FistaScratch { g, momentum, raw, next } = scratch;
+    // `out` holds the current iterate θ_k throughout.
     set.project_into(theta0, out);
     momentum.copy_from_slice(out);
     let mut t_k = 1.0f64;
@@ -191,8 +216,20 @@ pub fn fista_into_adaptive<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
         raw.copy_from_slice(momentum);
         vector::axpy(-step, g, raw);
         set.project_into(raw, next);
-        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t_k * t_k).sqrt());
-        let beta = (t_k - 1.0) / t_next;
+        let mut t_next = 0.5 * (1.0 + (1.0 + 4.0 * t_k * t_k).sqrt());
+        let mut beta = (t_k - 1.0) / t_next;
+        if RESTART {
+            let uphill: f64 = momentum
+                .iter()
+                .zip(next.iter())
+                .zip(out.iter())
+                .map(|((&y, &n), &p)| (y - n) * (n - p))
+                .sum();
+            if uphill > 0.0 {
+                t_next = 1.0;
+                beta = 0.0;
+            }
+        }
         let mut moved_sq = 0.0;
         for ((m, &n), &p) in momentum.iter_mut().zip(next.iter()).zip(out.iter()) {
             let dp = n - p;
@@ -201,8 +238,7 @@ pub fn fista_into_adaptive<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
         }
         out.copy_from_slice(next);
         t_k = t_next;
-        let scale = vector::norm2(out).max(1.0);
-        if moved_sq.sqrt() <= rel_tol * scale {
+        if rel_tol > 0.0 && moved_sq.sqrt() <= rel_tol * vector::norm2(out).max(1.0) {
             return k + 1;
         }
     }

@@ -380,7 +380,7 @@ fn mechanism_state_blobs_are_byte_pinned() {
         pins,
         vec![
             ("reg1 d=2", 369, 0x61AA_83E3),
-            ("reg2 d=4 m=3", 666, 0x6E97_5DA6),
+            ("reg2 d=4 m=3", 666, 0x66F2_0514),
             ("exact d=2", 105, 0x6991_3C2E),
             ("trivial d=2", 9, 0x9764_260F),
         ],
