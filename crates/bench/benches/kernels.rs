@@ -22,26 +22,42 @@ fn ramp(n: usize, scale: f64) -> Vec<f64> {
     (0..n).map(|i| scale * (1.0 + 0.001 * i as f64) * if i % 2 == 0 { 1.0 } else { -1.0 }).collect()
 }
 
-fn bench_set_outer(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kernels_set_outer");
-    // 16/64 mirror the mech_step mech1 grid; 128 is the largest d the
-    // mech_step trajectory tracks.
-    for d in [16usize, 64, 128] {
-        group.throughput(Throughput::Elements((d * d) as u64));
-        let u = ramp(d, 0.5);
-        let v = ramp(d, 0.25);
-        group.bench_with_input(BenchmarkId::new("blocked/d", d), &d, |b, &d| {
-            let mut out = vec![0.0; d * d];
+fn bench_packed_outer(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels_packed_outer");
+    // The second-moment step of the private gradient function: pack
+    // x·xᵀ into the tree item, unpack the release into Q_t. k = 8 and
+    // 64 are the mech1 fleet and mech_step sizes, k = 100 the sketch's m.
+    for k in [8usize, 64, 100] {
+        let n = kernels::packed_len(k);
+        group.throughput(Throughput::Elements(n as u64));
+        let x = ramp(k, 0.1);
+        let packed = ramp(n, 0.25);
+        group.bench_with_input(BenchmarkId::new("set/k", k), &k, |b, _| {
+            let mut out = vec![0.0; n];
             b.iter(|| {
-                kernels::set_outer(&u, &v, &mut out);
-                black_box(out[d * d - 1])
+                kernels::set_packed_outer(&x, &mut out);
+                black_box(out[n - 1])
             });
         });
-        group.bench_with_input(BenchmarkId::new("ref/d", d), &d, |b, &d| {
-            let mut out = vec![0.0; d * d];
+        group.bench_with_input(BenchmarkId::new("set_ref/k", k), &k, |b, _| {
+            let mut out = vec![0.0; n];
             b.iter(|| {
-                kernels::set_outer_ref(&u, &v, &mut out);
-                black_box(out[d * d - 1])
+                kernels::set_packed_outer_ref(&x, &mut out);
+                black_box(out[n - 1])
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("unpack/k", k), &k, |b, &k| {
+            let mut out = vec![0.0; k * k];
+            b.iter(|| {
+                kernels::unpack_symmetric(k, &packed, &mut out);
+                black_box(out[k * k - 1])
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("unpack_ref/k", k), &k, |b, &k| {
+            let mut out = vec![0.0; k * k];
+            b.iter(|| {
+                kernels::unpack_symmetric_ref(k, &packed, &mut out);
+                black_box(out[k * k - 1])
             });
         });
     }
@@ -150,5 +166,11 @@ fn bench_fill_gaussian_blocks(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_set_outer, bench_matvec, bench_axpy_n, bench_fill_gaussian_blocks);
+criterion_group!(
+    benches,
+    bench_packed_outer,
+    bench_matvec,
+    bench_axpy_n,
+    bench_fill_gaussian_blocks
+);
 criterion_main!(benches);

@@ -11,9 +11,10 @@ use std::hint::black_box;
 fn bench_updates(c: &mut Criterion) {
     let params = PrivacyParams::approx(1.0, 1e-6).unwrap();
     let mut group = c.benchmark_group("tree_mech_update");
-    // {4, 16, 64} is the BENCH_*.json trajectory grid; 1024 covers the
-    // d²-flattened second-moment streams of PrivIncReg1.
-    for d in [4usize, 16, 64, 1024] {
+    // {4, 16, 64} is the BENCH_*.json trajectory grid; 36, 2080 and 5050
+    // are the packed second-moment widths k(k+1)/2 at k = 8, 64 and 100
+    // (the fleet's d, mech_step's d and the sketch's m).
+    for d in [4usize, 16, 36, 64, 2080, 5050] {
         group.bench_with_input(BenchmarkId::new("d", d), &d, |b, &d| {
             // Horizon far beyond any iteration count Criterion will run
             // (memory is only O(d log T), so a 2^40 horizon is cheap).

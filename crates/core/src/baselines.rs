@@ -89,7 +89,7 @@ impl IncrementalMechanism for TrivialMechanism {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        codec::expect_tag(&mut d, codec::TAG_TRIVIAL, "trivial")?;
+        codec::expect_tag(&mut d, &[codec::TAG_TRIVIAL], "trivial")?;
         let t = d.u64()? as usize;
         d.finish()?;
         self.t = t;
@@ -196,7 +196,7 @@ impl IncrementalMechanism for ExactIncremental {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        codec::expect_tag(&mut d, codec::TAG_EXACT, "exact incremental")?;
+        codec::expect_tag(&mut d, &[codec::TAG_EXACT], "exact incremental")?;
         let t = d.u64()? as usize;
         let yy = d.f64()?;
         let theta = d.f64_vec()?;

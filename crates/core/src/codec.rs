@@ -23,8 +23,9 @@
 //!
 //! Readers keep a one-build window: a build reads what it writes and
 //! what the build before it wrote, and refuses everything else with a
-//! typed error. Each tag is one layout, and `load_state` accepts exactly
-//! the tag `save_state` writes.
+//! typed error. Each tag is one layout. `load_state` accepts the tag
+//! `save_state` writes and, for one build, the tag it replaced, which it
+//! converts on load.
 
 use crate::error::CoreError;
 use pir_continual::TreeState;
@@ -37,12 +38,23 @@ use pir_continual::TreeState;
 pub const TAG_TRIVIAL: u8 = 3;
 /// Blob tag for [`crate::ExactIncremental`] state.
 pub const TAG_EXACT: u8 = 4;
-/// Blob tag for [`crate::PrivIncReg1`] state with live-level trees
-/// ([`put_tree`]).
+/// Read-only blob tag for [`crate::PrivIncReg1`] state with live-level
+/// trees ([`put_tree`]) whose second-moment rows are full `d²` wide. The
+/// previous build wrote it; this one converts it to
+/// [`TAG_REG1_PACKED`] on load.
 pub const TAG_REG1_LIVE: u8 = 5;
-/// Blob tag for [`crate::PrivIncReg2`] state with live-level trees
-/// followed by the lift smoothness `2‖Φ‖²` as a [`put_opt_f64`] field.
+/// Read-only blob tag for [`crate::PrivIncReg2`] state with full-width
+/// live-level trees followed by the lift smoothness `2‖Φ‖²` as a
+/// [`put_opt_f64`] field. The previous build wrote it; this one converts
+/// it to [`TAG_REG2_PACKED`] on load.
 pub const TAG_REG2_SMOOTHNESS: u8 = 7;
+/// Blob tag for [`crate::PrivIncReg1`] state: [`TAG_REG1_LIVE`]'s layout
+/// with the second-moment tree's rows packed to `d(d+1)/2` entries.
+pub const TAG_REG1_PACKED: u8 = 8;
+/// Blob tag for [`crate::PrivIncReg2`] state: [`TAG_REG2_SMOOTHNESS`]'s
+/// layout with the second-moment tree's rows packed to `m(m+1)/2`
+/// entries.
+pub const TAG_REG2_PACKED: u8 = 9;
 
 /// Why a [`Dec`] read failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -389,18 +401,19 @@ pub fn take_opt_f64(d: &mut Dec<'_>) -> Result<Option<f64>, CoreError> {
     }
 }
 
-/// Read a state blob's leading mechanism tag and check it is `tag`.
+/// Read a state blob's leading mechanism tag and check it is one of
+/// `accepted`, returning it.
 ///
 /// # Errors
 /// [`CoreError::InvalidState`] on truncation or a foreign tag.
-pub fn expect_tag(d: &mut Dec<'_>, tag: u8, mechanism: &str) -> Result<(), CoreError> {
+pub fn expect_tag(d: &mut Dec<'_>, accepted: &[u8], mechanism: &str) -> Result<u8, CoreError> {
     let found = d.u8()?;
-    if found != tag {
+    if !accepted.contains(&found) {
         return Err(CoreError::InvalidState {
-            reason: format!("state blob tag {found} is not {mechanism}'s tag {tag}"),
+            reason: format!("state blob tag {found} is not one of {mechanism}'s tags {accepted:?}"),
         });
     }
-    Ok(())
+    Ok(found)
 }
 
 #[cfg(test)]
@@ -498,15 +511,34 @@ mod tests {
 
     #[test]
     fn retired_and_foreign_tags_are_refused() {
-        let tag = |b: u8| expect_tag(&mut Dec::new(&[b]), TAG_REG1_LIVE, "reg1");
-        tag(TAG_REG1_LIVE).unwrap();
-        for other in [1, 2, 6, TAG_TRIVIAL, TAG_EXACT, TAG_REG2_SMOOTHNESS, 0, 99] {
+        let accepted = [TAG_REG1_PACKED, TAG_REG1_LIVE];
+        let tag = |b: u8| expect_tag(&mut Dec::new(&[b]), &accepted, "reg1");
+        assert_eq!(tag(TAG_REG1_PACKED).unwrap(), TAG_REG1_PACKED);
+        assert_eq!(tag(TAG_REG1_LIVE).unwrap(), TAG_REG1_LIVE);
+        for other in [1, 2, 6, TAG_TRIVIAL, TAG_EXACT, TAG_REG2_SMOOTHNESS, TAG_REG2_PACKED, 0, 99]
+        {
             assert!(matches!(tag(other), Err(CoreError::InvalidState { .. })), "tag {other}");
         }
         assert!(matches!(
-            expect_tag(&mut Dec::new(&[]), TAG_REG1_LIVE, "reg1"),
+            expect_tag(&mut Dec::new(&[]), &accepted, "reg1"),
             Err(CoreError::InvalidState { .. })
         ));
+    }
+
+    /// A single-bit flip of any tag a mechanism reads never lands on
+    /// another tag it reads: the current and the read-only tag of each
+    /// regression mechanism differ in more than one bit.
+    #[test]
+    fn tag_bit_flips_are_refused() {
+        for accepted in [[TAG_REG1_PACKED, TAG_REG1_LIVE], [TAG_REG2_PACKED, TAG_REG2_SMOOTHNESS]] {
+            for tag in accepted {
+                for bit in 0..8 {
+                    let flipped = tag ^ (1 << bit);
+                    let r = expect_tag(&mut Dec::new(&[flipped]), &accepted, "reg");
+                    assert!(matches!(r, Err(CoreError::InvalidState { .. })), "{tag} -> {flipped}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl DescentScratch {
 /// writing the minimizer into `out`. The private gradient function is
 /// passed as a *borrowed view* — the released statistics `(Q, q)` stay in
 /// the mechanism-owned scratch they were produced in (`q_matrix` must
-/// already be symmetrized, as the private gradient function does).
+/// be symmetric, as the private gradient function's unpacked release is).
 ///
 /// `ridge` is the spectral error bound of the second-moment release
 /// (Lemma 4.1's matrix term); `alpha` the full gradient-error bound;
@@ -152,8 +152,16 @@ pub(crate) fn minimize_private_objective_into<C: ConvexSet + ?Sized>(
     }
 }
 
-/// Smoothness (largest eigenvalue) bound for the surrogate's Hessian `A`:
-/// a cheap power-iteration estimate with a Frobenius-norm fallback.
+/// The smoothness constant the descent's FISTA steps with: a cheap
+/// power-iteration *estimate* of the largest eigenvalue of the
+/// surrogate's Hessian `A` (relative tolerance `1e-3`, at most 300
+/// iterations), with a Frobenius-norm fallback if the iteration fails.
+///
+/// It is not an upper bound. A power-iteration value is a Rayleigh
+/// quotient, which never exceeds `λ_max(A)`, and the loose stop can end
+/// well short of it. FISTA's `1/L` step is only guaranteed for
+/// `L ≥ λ_max`. docs/KNOWN_FAILURES.md records a Reg1 stream on which
+/// the value was below `λ_max` at every step; ROADMAP item 2 is the fix.
 fn quadratic_smoothness(a: &Matrix, power: &mut PowerIterScratch) -> f64 {
     a.spectral_norm_with(1e-3, 300, power).unwrap_or_else(|_| a.frobenius_norm()).max(1e-9)
 }
@@ -244,8 +252,11 @@ mod tests {
         ) {
             let d = 4;
             let mut q = Matrix::zeros(d, d);
-            q.copy_from_slice_checked(&raw).unwrap();
-            q.symmetrize_mut();
+            for i in 0..d {
+                for j in 0..d {
+                    q.set(i, j, 0.5 * (raw[i * d + j] + raw[j * d + i]));
+                }
+            }
             let set = L2Ball::unit(d);
             let max_iters = 64;
             // Frobenius ≥ spectral ≥ |λ_min|, so this ridge always makes

@@ -3,8 +3,9 @@
 //!
 //! Per timestep `t`:
 //! 1. feed `x_t y_t` (a `d`-vector of norm ≤ 1) into one Tree Mechanism
-//!    and `x_t x_tᵀ` (a `d²`-vector of Frobenius norm ≤ 1) into another,
-//!    each at budget `(ε/2, δ/2)` — L2-sensitivity 2 per stream;
+//!    and `x_t x_tᵀ` (packed to its `d(d+1)/2` upper-triangle entries,
+//!    norm `‖x_t‖² ≤ 1`) into another, each at budget `(ε/2, δ/2)` —
+//!    L2-sensitivity 2 per stream;
 //! 2. assemble the private gradient function
 //!    `g_t(θ) = 2(Q_t θ − q_t)` (Definition 5) with Lemma 4.1's error
 //!    bound `α ≈ κ‖C‖(√d + √log(1/β))`, fixed at construction;
@@ -200,13 +201,15 @@ impl IncrementalMechanism for PrivIncReg1 {
     }
 
     /// Dynamic state: step counter, warm-start iterate, and the two tree
-    /// states in the live-level layout (`O(d² · popcount(t))` bytes: only
-    /// the tree levels in the prefix decomposition of `t` are written).
-    /// Loading reads only [`codec::TAG_REG1_LIVE`]; any other tag is
+    /// states in the live-level layout, the second moment packed
+    /// (`O(d² · popcount(t))` bytes: only the tree levels in the prefix
+    /// decomposition of `t` are written). Loading reads
+    /// [`codec::TAG_REG1_PACKED`] and the previous build's full-width
+    /// [`codec::TAG_REG1_LIVE`], which it packs; any other tag is
     /// `InvalidState`.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
-        e.u8(codec::TAG_REG1_LIVE);
+        e.u8(codec::TAG_REG1_PACKED);
         e.u64(self.grad.t() as u64);
         e.f64_slice(&self.last_theta);
         self.grad.put_trees(&mut e);
@@ -215,10 +218,14 @@ impl IncrementalMechanism for PrivIncReg1 {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        codec::expect_tag(&mut d, codec::TAG_REG1_LIVE, "priv-inc-reg-1")?;
+        let tag = codec::expect_tag(
+            &mut d,
+            &[codec::TAG_REG1_PACKED, codec::TAG_REG1_LIVE],
+            "priv-inc-reg-1",
+        )?;
         let t = d.u64()? as usize;
         let last_theta = d.f64_vec()?;
-        let trees = PrivateGradient::take_trees(&mut d)?;
+        let trees = self.grad.take_trees(&mut d, tag == codec::TAG_REG1_LIVE)?;
         d.finish()?;
         if last_theta.len() != self.set.dim() {
             return Err(CoreError::InvalidState {

@@ -413,16 +413,18 @@ impl IncrementalMechanism for PrivIncReg2 {
 
     /// Dynamic state: step counter, the two warm-start iterates (projected
     /// `ϑ` and lifted `θ`), the two projected-space tree states in the
-    /// live-level layout (`O(m² · popcount(t) + d)` bytes), then the lift
+    /// live-level layout, the second moment packed
+    /// (`O(m² · popcount(t) + d)` bytes), then the lift
     /// smoothness `2‖Φ‖²` once a step has computed it. The sketch matrix
     /// `Φ` is *not* here — it is static, resampled bit-identically when
     /// the mechanism is respawned from its spec and seed — but the
     /// constant derived from it is, so a restore skips the power
-    /// iteration. Loading reads only [`codec::TAG_REG2_SMOOTHNESS`]; any
-    /// other tag is `InvalidState`.
+    /// iteration. Loading reads [`codec::TAG_REG2_PACKED`] and the
+    /// previous build's full-width [`codec::TAG_REG2_SMOOTHNESS`], which
+    /// it packs; any other tag is `InvalidState`.
     fn save_state(&self, out: &mut Vec<u8>) -> Result<()> {
         let mut e = Enc::new(out);
-        e.u8(codec::TAG_REG2_SMOOTHNESS);
+        e.u8(codec::TAG_REG2_PACKED);
         e.u64(self.grad.t() as u64);
         e.f64_slice(&self.last_vartheta);
         e.f64_slice(&self.last_theta);
@@ -433,11 +435,15 @@ impl IncrementalMechanism for PrivIncReg2 {
 
     fn load_state(&mut self, bytes: &[u8]) -> Result<()> {
         let mut d = Dec::new(bytes);
-        codec::expect_tag(&mut d, codec::TAG_REG2_SMOOTHNESS, "priv-inc-reg-2")?;
+        let tag = codec::expect_tag(
+            &mut d,
+            &[codec::TAG_REG2_PACKED, codec::TAG_REG2_SMOOTHNESS],
+            "priv-inc-reg-2",
+        )?;
         let t = d.u64()? as usize;
         let last_vartheta = d.f64_vec()?;
         let last_theta = d.f64_vec()?;
-        let trees = PrivateGradient::take_trees(&mut d)?;
+        let trees = self.grad.take_trees(&mut d, tag == codec::TAG_REG2_SMOOTHNESS)?;
         let smoothness = codec::take_opt_f64(&mut d)?;
         d.finish()?;
         if let Some(l) = smoothness {

@@ -76,6 +76,11 @@ impl StreamSession {
         self.id
     }
 
+    /// The spec the session was opened with.
+    pub(crate) fn spec(&self) -> &MechanismSpec {
+        &self.spec
+    }
+
     /// Name of the mechanism serving this stream.
     pub fn mechanism_name(&self) -> String {
         self.mech.name()

@@ -23,7 +23,7 @@
 //! segment header (28 bytes)
 //! offset  size  field
 //! 0       4     magic  = b"PIRL"
-//! 4       1     version (currently 1)
+//! 4       1     version (currently 2; version 1 is read, see below)
 //! 5       1     reserved, must be 0
 //! 6       2     reserved, must be 0
 //! 8       4     epoch (writer generation), little-endian u32
@@ -105,6 +105,19 @@
 //! points — `O(since-checkpoint)`, bit-identical to a full-history
 //! replay (the law pinned by `tests/compaction.rs`).
 //!
+//! # Reading the previous build's log
+//!
+//! Version 2 has version 1's layout; the bump only marks which build
+//! wrote a segment. Recovery reads version-1 segments, with one
+//! refusal: the previous build drew the `PRIVINCREG1`/`PRIVINCREG2`
+//! second-moment tree noise over the full `k²` width and this build
+//! draws it packed, so a version-1 `OBSERVE` or `OBSERVE_BATCH` into
+//! such a session would re-noise tree nodes whose releases already went
+//! out. Recovery answers it with [`WalError::PreviousBuildObserve`]
+//! before applying anything. The upgrade that avoids it: checkpoint on
+//! the previous build with no traffic after it, so no such command is
+//! left to replay.
+//!
 //! # Examples
 //!
 //! ```
@@ -145,6 +158,7 @@
 use crate::engine::ShardedEngine;
 use crate::ingress::{Command, Reply};
 use crate::session::StreamSession;
+use crate::spec::MechanismSpec;
 use crate::storage::{StorageFile, StorageHandle};
 use crate::wire::{self, WireError};
 use pir_core::codec::{CodecError, Dec, Enc};
@@ -154,8 +168,13 @@ use std::time::Duration;
 
 /// The four magic bytes opening every segment file.
 pub const WAL_MAGIC: [u8; 4] = *b"PIRL";
-/// Current log format version.
-pub const WAL_VERSION: u8 = 1;
+/// Current log format version. Version 2 has version 1's layout; the
+/// bump marks segments written by builds whose second-moment trees draw
+/// packed node noise (see [`WalError::PreviousBuildObserve`]).
+pub const WAL_VERSION: u8 = 2;
+/// The previous build's log version, still read under the one-build
+/// window.
+const WAL_VERSION_PREVIOUS: u8 = 1;
 /// Segment header length in bytes.
 pub const SEGMENT_HEADER_LEN: usize = 28;
 /// Record header length in bytes (payload length + sequence + CRC).
@@ -468,6 +487,21 @@ pub enum WalError {
         /// What failed.
         reason: String,
     },
+    /// A segment the previous build wrote (log version 1) would replay
+    /// an `OBSERVE` or `OBSERVE_BATCH` into a `PRIVINCREG1`/`PRIVINCREG2`
+    /// session. The previous build drew each second-moment tree node's
+    /// noise over the full `k²` width, this build draws it over the
+    /// packed `k(k+1)/2`, so the replay would give tree nodes whose
+    /// releases already went out a second, independent noise, outside
+    /// the `(ε, δ)` accounting. Nothing is applied. To upgrade, start the
+    /// previous build on the directory, take a checkpoint with no traffic
+    /// after it, stop it, then start this build.
+    PreviousBuildObserve {
+        /// The previous build's segment carrying the command.
+        file: String,
+        /// The session it observes into.
+        session_id: u64,
+    },
     /// Invalid [`WalOptions`].
     InvalidOptions {
         /// What was wrong.
@@ -531,6 +565,13 @@ impl std::fmt::Display for WalError {
             WalError::Snapshot { reason } => {
                 write!(f, "checkpoint session snapshot failed: {reason}")
             }
+            WalError::PreviousBuildObserve { file, session_id } => write!(
+                f,
+                "{file}: the previous build's log replays observes into tree session \
+                 {session_id:#018x}, whose second-moment noise this build draws differently; \
+                 start the previous build on this directory, checkpoint with no traffic after it, \
+                 then start this build"
+            ),
             WalError::InvalidOptions { reason } => write!(f, "invalid wal options: {reason}"),
             WalError::Poisoned { file } => write!(
                 f,
@@ -1057,6 +1098,9 @@ pub fn checkpoint_with_storage(
 /// A validated segment header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentHeader {
+    /// Log format version: [`WAL_VERSION`] for segments this build
+    /// writes, 1 for the previous build's.
+    pub version: u8,
     /// Writer generation that produced the segment.
     pub epoch: u32,
     /// Shard index (always matches the file name).
@@ -1074,7 +1118,7 @@ impl SegmentHeader {
         let mut out = Vec::with_capacity(SEGMENT_HEADER_LEN);
         let mut e = Enc::new(&mut out);
         e.bytes(&WAL_MAGIC);
-        e.u8(WAL_VERSION);
+        e.u8(self.version);
         e.bytes(&[0u8; 3]);
         e.u32(self.epoch);
         e.u32(self.shard);
@@ -1156,7 +1200,7 @@ pub(crate) fn scan_segment_on(
     let fields = (|| {
         let (magic, version, reserved) = (h.array::<4>()?, h.u8()?, h.array::<3>()?);
         let (epoch, shard, seg_seq, first_record_seq) = (h.u32()?, h.u32()?, h.u32()?, h.u32()?);
-        let header = SegmentHeader { epoch, shard, seg_seq, first_record_seq };
+        let header = SegmentHeader { version, epoch, shard, seg_seq, first_record_seq };
         Ok::<_, CodecError>((magic, version, reserved, header, h.consumed(), h.u32()?))
     })();
     let Ok((magic, version, reserved, header, covered, stored_crc)) = fields else {
@@ -1172,7 +1216,7 @@ pub(crate) fn scan_segment_on(
     if magic != WAL_MAGIC {
         return Err(WalError::BadMagic { file, got: magic });
     }
-    if version != WAL_VERSION {
+    if version != WAL_VERSION && version != WAL_VERSION_PREVIOUS {
         return Err(WalError::UnsupportedVersion { file, got: version });
     }
     if reserved != [0u8; 3] {
@@ -1325,6 +1369,9 @@ pub(crate) struct LoadedLog {
     pub(crate) snapshots: Vec<Vec<u8>>,
     /// Generation of the manifest the log was loaded against, if any.
     pub(crate) manifest_generation: Option<u32>,
+    /// The spans of `commands` read from segments the previous build
+    /// wrote (log version 1), each with its file.
+    pub(crate) previous_build: Vec<(std::ops::Range<usize>, String)>,
 }
 
 impl LoadedLog {
@@ -1470,7 +1517,15 @@ pub(crate) fn load_log(storage: &StorageHandle, dir: &Path) -> Result<LoadedLog,
     // written by later processes, so this respects per-session arrival
     // order even when the shard count changed between runs.
     ordered.sort_by_key(|s| (s.header.map_or(0, |h| h.epoch), s.shard, s.seg_seq));
-    let commands: Vec<Command> = ordered.iter().flat_map(|s| s.commands.iter().cloned()).collect();
+    let mut commands: Vec<Command> = Vec::new();
+    let mut previous_build = Vec::new();
+    for s in &ordered {
+        let start = commands.len();
+        commands.extend(s.commands.iter().cloned());
+        if s.header.is_some_and(|h| h.version == WAL_VERSION_PREVIOUS) && !s.commands.is_empty() {
+            previous_build.push((start..commands.len(), s.path.display().to_string()));
+        }
+    }
 
     let (snapshots, manifest_generation) = match manifest {
         Some(m) => (m.snapshots, Some(m.generation)),
@@ -1484,6 +1539,7 @@ pub(crate) fn load_log(storage: &StorageHandle, dir: &Path) -> Result<LoadedLog,
         torn_tails,
         snapshots,
         manifest_generation,
+        previous_build,
     })
 }
 
@@ -1587,6 +1643,7 @@ pub(crate) fn replay(
         }
         restored.push(session);
     }
+    refuse_previous_build_observes(log, &restored)?;
     for session in restored {
         engine.adopt_session(session).map_err(|e| WalError::Snapshot { reason: e.to_string() })?;
     }
@@ -1600,6 +1657,48 @@ pub(crate) fn replay(
         on_reply(cmd, &reply);
     }
     Ok(log.report(failed))
+}
+
+/// Refuse a log whose previous-build segments would replay an observe
+/// into a `PRIVINCREG1`/`PRIVINCREG2` session — one restored from the
+/// manifest or opened earlier in the log — with
+/// [`WalError::PreviousBuildObserve`].
+fn refuse_previous_build_observes(
+    log: &LoadedLog,
+    restored: &[StreamSession],
+) -> Result<(), WalError> {
+    let Some(end) = log.previous_build.iter().map(|(span, _)| span.end).max() else {
+        return Ok(());
+    };
+    let has_tree = |spec: &MechanismSpec| {
+        matches!(spec, MechanismSpec::Reg1 { .. } | MechanismSpec::Reg2 { .. })
+    };
+    let mut tree_sessions: std::collections::HashSet<u64> =
+        restored.iter().filter(|s| has_tree(s.spec())).map(StreamSession::id).collect();
+    for (i, cmd) in log.commands.iter().enumerate().take(end) {
+        match cmd {
+            Command::Open { session_id, spec, .. } if has_tree(spec) => {
+                tree_sessions.insert(*session_id);
+            }
+            Command::Release { session_id } => {
+                tree_sessions.remove(session_id);
+            }
+            Command::Observe { session_id, .. } | Command::ObserveBatch { session_id, .. }
+                if tree_sessions.contains(session_id) =>
+            {
+                if let Some((_, file)) =
+                    log.previous_build.iter().find(|(span, _)| span.contains(&i))
+                {
+                    return Err(WalError::PreviousBuildObserve {
+                        file: file.clone(),
+                        session_id: *session_id,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// Delete every segment file under `dir` — log retention after a clean
@@ -2058,7 +2157,7 @@ fn create_segment(
 ) -> Result<(Box<dyn StorageFile>, PathBuf), WalError> {
     let path = options.dir.join(segment_file_name(shard, seg_seq));
     let mut file = options.storage.create_new(&path).map_err(|e| io_err(&path, &e))?;
-    let header = SegmentHeader { epoch, shard, seg_seq, first_record_seq };
+    let header = SegmentHeader { version: WAL_VERSION, epoch, shard, seg_seq, first_record_seq };
     file.append(&header.to_bytes()).map_err(|e| io_err(&path, &e))?;
     if options.fsync != FsyncPolicy::Off {
         file.sync_data().map_err(|e| io_err(&path, &e))?;
@@ -2127,7 +2226,13 @@ mod tests {
 
     #[test]
     fn header_bytes_are_self_checking() {
-        let h = SegmentHeader { epoch: 2, shard: 1, seg_seq: 5, first_record_seq: 40 };
+        let h = SegmentHeader {
+            version: WAL_VERSION,
+            epoch: 2,
+            shard: 1,
+            seg_seq: 5,
+            first_record_seq: 40,
+        };
         let bytes = h.to_bytes();
         assert_eq!(&bytes[0..4], b"PIRL");
         assert_eq!(bytes[4], WAL_VERSION);

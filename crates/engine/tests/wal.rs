@@ -235,12 +235,12 @@ fn protocol_worked_example_is_bit_exact() {
     const EXPECTED: [u8; 64] = [
         // -- segment header (28 bytes) -----------------------------------
         0x50, 0x49, 0x52, 0x4c, // magic "PIRL"
-        0x01, 0x00, 0x00, 0x00, // version 1, reserved
+        0x02, 0x00, 0x00, 0x00, // version 2, reserved
         0x00, 0x00, 0x00, 0x00, // epoch 0
         0x00, 0x00, 0x00, 0x00, // shard 0
         0x00, 0x00, 0x00, 0x00, // seg_seq 0
         0x00, 0x00, 0x00, 0x00, // first_record_seq 0
-        0x16, 0x24, 0x12, 0x8f, // header CRC32 (bytes 0..24) = 0x8f122416
+        0xdc, 0x69, 0xbb, 0x20, // header CRC32 (bytes 0..24) = 0x20bb69dc
         // -- record header (12 bytes) -------------------------------------
         0x14, 0x00, 0x00, 0x00, // payload length 20
         0x00, 0x00, 0x00, 0x00, // record seq 0
@@ -264,7 +264,7 @@ fn protocol_worked_example_is_bit_exact() {
     assert_eq!(bytes, EXPECTED, "on-disk format drifted from docs/PROTOCOL.md");
 
     // Cross-check the pinned checksums against the implementation.
-    assert_eq!(wal::crc32(&EXPECTED[0..24]), 0x8f12_2416);
+    assert_eq!(wal::crc32(&EXPECTED[0..24]), 0x20bb_69dc);
     assert_eq!(wal::crc32(&EXPECTED[28..36]), 0x9dd3_e0b8);
     assert_eq!(wal::crc32(&EXPECTED[40..60]), 0x9a02_ad67);
 

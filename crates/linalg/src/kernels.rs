@@ -3,11 +3,12 @@
 //! Every kernel here is a *flat-slice* primitive over row-major data, with
 //! two implementations:
 //!
-//! - the production form (`matvec`, `matvec_t`, `set_outer`,
-//!   `add_scaled_outer`) that [`Matrix`](crate::Matrix) methods and the
-//!   mechanisms drive — row-blocked where blocking measures faster
-//!   (`matvec_t`, the outer products below `OUTER_BLOCK_MAX_COLS`),
-//!   the plain row sweep where it does not (`matvec`);
+//! - the production form (`matvec`, `matvec_t`, `add_scaled_outer`,
+//!   and the packed symmetric pair `set_packed_outer`/`unpack_symmetric`)
+//!   that [`Matrix`](crate::Matrix) methods and the mechanisms drive —
+//!   row-blocked where blocking measures faster (`matvec_t`, the outer
+//!   product below `OUTER_BLOCK_MAX_COLS`), the plain row sweep where it
+//!   does not (`matvec`, the packed pair);
 //! - a scalar reference (`*_ref`) defining the semantics, which the
 //!   proptest suite in `crates/linalg/tests/kernel_identity.rs` pins
 //!   every other form against **bit-for-bit**.
@@ -25,8 +26,8 @@
 //!   lane that starts at `+0` (bit-identical for finite `A`);
 //! - `matvec_t` folds the rows of a block into the output in row order,
 //!   matching the sequential per-row [`vector::axpy`] sweeps;
-//! - the outer-product kernels are elementwise (one multiply per entry),
-//!   so blocking cannot reorder anything.
+//! - the outer-product and packing kernels are elementwise (at most one
+//!   multiply per entry), so blocking cannot reorder anything.
 //!
 //! To add a kernel: write the `*_ref` form first, add the blocked form
 //! that preserves its per-element operation order, extend
@@ -37,7 +38,7 @@
 
 use crate::vector;
 
-/// Row width at which the outer-product kernels switch from the 4-row
+/// Row width at which the outer-product kernel switches from the 4-row
 /// block to the row-sequential sweep (at or above the threshold).
 /// Interleaving four write streams wins while a block of rows stays
 /// register/store-buffer friendly (measured ~20% at d ≤ 64) but
@@ -222,59 +223,97 @@ pub fn matvec_t_ref(cols: usize, a: &[f64], y: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `out ← u·vᵀ` (row-major `u.len() × v.len()`), overwriting `out`.
+/// `k(k+1)/2`, the length of the packed upper triangle of a symmetric
+/// `k × k` matrix.
+pub const fn packed_len(k: usize) -> usize {
+    k * (k + 1) / 2
+}
+
+/// `out ← pack(x·xᵀ)`: the upper triangle of the outer product, row by
+/// row (`(0,0), (0,1), …, (0,k−1), (1,1), …`), with `x_i²` on the
+/// diagonal and `(√2·x_i)·x_j` off it. The `√2` makes the packing an
+/// isometry from symmetric matrices under the Frobenius norm, so
+/// `‖out‖₂ = ‖x·xᵀ‖_F = ‖x‖²`.
 ///
-/// Four rows per block so each chunk of `v` is reused from registers
-/// across the block, falling back to the row-sequential sweep for rows
-/// at or beyond `OUTER_BLOCK_MAX_COLS`. One multiply per entry —
-/// elementwise, so trivially bit-identical to [`set_outer_ref`].
+/// One square and one [`vector::scaled_copy_into`] of the row's tail
+/// per row; one multiply per entry, so bit-identical to
+/// [`set_packed_outer_ref`].
 ///
 /// # Panics
 /// Panics in debug builds on shape mismatch.
-pub fn set_outer(u: &[f64], v: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(out.len(), u.len() * v.len(), "set_outer: shape mismatch");
-    let cols = v.len();
-    if cols >= OUTER_BLOCK_MAX_COLS {
-        set_outer_ref(u, v, out);
-        return;
-    }
-    let mut blocks = u.chunks_exact(4);
-    let mut r = 0usize;
-    for ub in blocks.by_ref() {
-        let (u0, u1, u2, u3) = (ub[0], ub[1], ub[2], ub[3]);
-        let (head, rest) = out[r * cols..].split_at_mut(cols);
-        let (row1, rest) = rest.split_at_mut(cols);
-        let (row2, row3) = rest.split_at_mut(cols);
-        let row3 = &mut row3[..cols];
-        for ((((o0, o1), o2), o3), &vl) in
-            head.iter_mut().zip(row1.iter_mut()).zip(row2.iter_mut()).zip(row3.iter_mut()).zip(v)
-        {
-            *o0 = u0 * vl;
-            *o1 = u1 * vl;
-            *o2 = u2 * vl;
-            *o3 = u3 * vl;
-        }
-        r += 4;
-    }
-    for &ur in blocks.remainder() {
-        vector::scaled_copy_into(ur, v, &mut out[r * cols..(r + 1) * cols]);
-        r += 1;
+pub fn set_packed_outer(x: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(out.len(), packed_len(x.len()), "set_packed_outer: shape mismatch");
+    let mut rest = out;
+    for (i, &xi) in x.iter().enumerate() {
+        let tail = &x[i + 1..];
+        let (row, next) = rest.split_at_mut(1 + tail.len());
+        row[0] = xi * xi;
+        vector::scaled_copy_into(std::f64::consts::SQRT_2 * xi, tail, &mut row[1..]);
+        rest = next;
     }
 }
 
-/// Scalar reference for [`set_outer`]: one [`vector::scaled_copy_into`]
-/// per row.
-pub fn set_outer_ref(u: &[f64], v: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(out.len(), u.len() * v.len(), "set_outer_ref: shape mismatch");
-    let cols = v.len();
-    for (r, &ur) in u.iter().enumerate() {
-        vector::scaled_copy_into(ur, v, &mut out[r * cols..(r + 1) * cols]);
+/// Scalar reference for [`set_packed_outer`]: one expression per packed
+/// entry.
+pub fn set_packed_outer_ref(x: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(out.len(), packed_len(x.len()), "set_packed_outer_ref: shape mismatch");
+    let k = x.len();
+    let mut at = 0;
+    for i in 0..k {
+        for j in i..k {
+            out[at] = if i == j { x[i] * x[i] } else { (std::f64::consts::SQRT_2 * x[i]) * x[j] };
+            at += 1;
+        }
+    }
+}
+
+/// `out ← unpack(p)`: the symmetric row-major `k × k` matrix whose upper
+/// triangle `p` holds in the [`set_packed_outer`] layout — `p_ii` on the
+/// diagonal, `p_ij/√2` at `(i, j)` and `(j, i)`.
+///
+/// One [`vector::scaled_copy_into`] per row of the upper triangle, then a
+/// mirror copy into the lower one; bit-identical to
+/// [`unpack_symmetric_ref`].
+///
+/// # Panics
+/// Panics in debug builds on shape mismatch.
+pub fn unpack_symmetric(k: usize, packed: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(packed.len(), packed_len(k), "unpack_symmetric: packed length");
+    debug_assert_eq!(out.len(), k * k, "unpack_symmetric: shape mismatch");
+    let mut rest = packed;
+    for i in 0..k {
+        let (row, next) = rest.split_at(k - i);
+        let upper = &mut out[i * k + i..(i + 1) * k];
+        upper[0] = row[0];
+        vector::scaled_copy_into(std::f64::consts::FRAC_1_SQRT_2, &row[1..], &mut upper[1..]);
+        rest = next;
+    }
+    for i in 1..k {
+        for j in 0..i {
+            out[i * k + j] = out[j * k + i];
+        }
+    }
+}
+
+/// Scalar reference for [`unpack_symmetric`]: each entry read from its
+/// packed index.
+pub fn unpack_symmetric_ref(k: usize, packed: &[f64], out: &mut [f64]) {
+    debug_assert_eq!(out.len(), k * k, "unpack_symmetric_ref: shape mismatch");
+    // Row `i` of the packed triangle starts after the `i` longer rows.
+    let start = |i: usize| i * k - i * (i.saturating_sub(1)) / 2;
+    for i in 0..k {
+        for j in 0..k {
+            let (lo, hi) = (i.min(j), i.max(j));
+            let p = packed[start(lo) + hi - lo];
+            out[i * k + j] = if i == j { p } else { std::f64::consts::FRAC_1_SQRT_2 * p };
+        }
     }
 }
 
 /// Rank-1 update `out ← out + alpha·u·vᵀ` (row-major
-/// `u.len() × v.len()`), blocked like [`set_outer`] (including the
-/// `OUTER_BLOCK_MAX_COLS` fallback). Per entry the update is the
+/// `u.len() × v.len()`), four rows per block so each chunk of `v` is
+/// reused from registers across the block, falling back to the
+/// row-sequential sweep for rows at or beyond `OUTER_BLOCK_MAX_COLS`. Per entry the update is the
 /// single fused expression `out += (alpha·u_r)·v_c`, bit-identical to
 /// [`add_scaled_outer_ref`].
 ///
@@ -363,17 +402,39 @@ mod tests {
                 matvec_t_ref(cols, &a, &y, &mut want);
                 assert_eq!(got, want, "matvec_t {rows}x{cols}");
 
-                let mut got = vec![9.0; rows * cols];
-                let mut want = vec![-9.0; rows * cols];
-                set_outer(&y, &x, &mut got);
-                set_outer_ref(&y, &x, &mut want);
-                assert_eq!(got, want, "set_outer {rows}x{cols}");
-
                 let mut got = a.clone();
                 let mut want = a.clone();
                 add_scaled_outer(-0.75, &y, &x, &mut got);
                 add_scaled_outer_ref(-0.75, &y, &x, &mut want);
                 assert_eq!(got, want, "add_scaled_outer {rows}x{cols}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_outer_is_a_frobenius_isometry_and_unpacks_to_the_outer_product() {
+        for k in 0..9 {
+            let x = data(k, 0.4);
+            let mut packed = vec![f64::NAN; packed_len(k)];
+            let mut want = vec![-1.0; packed_len(k)];
+            set_packed_outer(&x, &mut packed);
+            set_packed_outer_ref(&x, &mut want);
+            let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&packed), bits(&want), "set_packed_outer k = {k}");
+            let sq = vector::dot(&x, &x);
+            assert!((vector::norm2(&packed) - sq).abs() <= 1e-15 * sq.max(1.0), "k = {k}");
+
+            let mut full = vec![f64::NAN; k * k];
+            let mut full_ref = vec![2.0; k * k];
+            unpack_symmetric(k, &packed, &mut full);
+            unpack_symmetric_ref(k, &packed, &mut full_ref);
+            assert_eq!(bits(&full), bits(&full_ref), "unpack_symmetric k = {k}");
+            for i in 0..k {
+                for j in 0..k {
+                    let e = x[i] * x[j];
+                    assert!((full[i * k + j] - e).abs() <= 1e-15, "({i}, {j}) at k = {k}");
+                    assert_eq!(full[i * k + j].to_bits(), full[j * k + i].to_bits());
+                }
             }
         }
     }

@@ -341,27 +341,6 @@ impl Matrix {
         m
     }
 
-    /// Overwrite `self` with the outer product `u vᵀ`, reusing the
-    /// allocation — the scratch-buffer form of [`Matrix::outer`] used by
-    /// the batched mechanism paths, and value-for-value identical to it.
-    ///
-    /// # Errors
-    /// [`LinalgError::DimensionMismatch`] if `self` is not
-    /// `u.len() × v.len()`.
-    pub fn set_outer(&mut self, u: &[f64], v: &[f64]) -> Result<()> {
-        if u.len() != self.rows || v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "set_outer",
-                expected: self.rows * self.cols,
-                found: u.len() * v.len(),
-            });
-        }
-        // Single overwrite pass (row r ← u_r·v) instead of zero-then-add:
-        // half the memory traffic on the d² hot path of the mechanisms.
-        kernels::set_outer(u, v, &mut self.data);
-        Ok(())
-    }
-
     /// Rank-1 update `A ← A + alpha·u vᵀ` through the register-blocked
     /// kernel — the unconditional counterpart of [`Matrix::add_outer`]
     /// for the mechanism hot paths. Unlike `add_outer` it does not skip
@@ -423,26 +402,6 @@ impl Matrix {
     pub fn trace(&self) -> f64 {
         assert_eq!(self.rows, self.cols, "trace requires a square matrix");
         (0..self.rows).map(|i| self.data[i * self.cols + i]).sum()
-    }
-
-    /// Symmetrize in place: `A ← (A + Aᵀ)/2`; requires a square matrix.
-    ///
-    /// Used after adding noise to `Σ xᵢxᵢᵀ` so the private second-moment
-    /// estimate stays symmetric (the true statistic is).
-    ///
-    /// # Panics
-    /// Panics if the matrix is not square.
-    pub fn symmetrize_mut(&mut self) {
-        assert_eq!(self.rows, self.cols, "symmetrize requires a square matrix");
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                let a = self.data[i * self.cols + j];
-                let b = self.data[j * self.cols + i];
-                let avg = 0.5 * (a + b);
-                self.data[i * self.cols + j] = avg;
-                self.data[j * self.cols + i] = avg;
-            }
-        }
     }
 
     /// Spectral norm (largest singular value) estimated by power iteration
@@ -602,16 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn set_outer_matches_outer() {
-        let u = [1.0, -2.0, 0.0];
-        let v = [3.0, 4.0];
-        let mut m = Matrix::from_rows(&[&[9.0, 9.0], &[9.0, 9.0], &[9.0, 9.0]]).unwrap();
-        m.set_outer(&u, &v).unwrap();
-        assert_eq!(m, Matrix::outer(&u, &v));
-        assert!(m.set_outer(&u, &[1.0]).is_err());
-    }
-
-    #[test]
     fn spectral_norm_with_reused_scratch_matches() {
         let m = sample();
         let mut scratch = PowerIterScratch::new(3, 2);
@@ -667,14 +616,6 @@ mod tests {
         let i3 = Matrix::identity(3);
         assert_eq!(i3.trace(), 3.0);
         assert_eq!(i3.matvec(&[1.0, 2.0, 3.0]).unwrap(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn symmetrize_averages_off_diagonals() {
-        let mut m = Matrix::from_rows(&[&[1.0, 4.0], &[2.0, 1.0]]).unwrap();
-        m.symmetrize_mut();
-        assert_eq!(m.get(0, 1), 3.0);
-        assert_eq!(m.get(1, 0), 3.0);
     }
 
     #[test]

@@ -107,18 +107,30 @@ proptest! {
     }
 
     #[test]
-    fn set_outer_blocked_is_bit_identical_to_reference(
-        u in buf(MAX_R),
-        v in buf(MAX_C),
-        rows in 1usize..MAX_R,
-        cols in 1usize..MAX_C,
+    fn set_packed_outer_is_bit_identical_to_reference(
+        x in buf(MAX_C),
+        k in 0usize..MAX_C,
     ) {
-        let u = &u[..rows];
-        let v = &v[..cols];
-        let mut got = vec![f64::NAN; rows * cols];
-        let mut want = vec![7.0; rows * cols];
-        kernels::set_outer(u, v, &mut got);
-        kernels::set_outer_ref(u, v, &mut want);
+        let x = &x[..k];
+        let mut got = vec![f64::NAN; kernels::packed_len(k)];
+        let mut want = vec![7.0; kernels::packed_len(k)];
+        kernels::set_packed_outer(x, &mut got);
+        kernels::set_packed_outer_ref(x, &mut want);
+        for (g, w) in got.iter().zip(&want) {
+            prop_assert_eq!(g.to_bits(), w.to_bits());
+        }
+    }
+
+    #[test]
+    fn unpack_symmetric_is_bit_identical_to_reference(
+        packed in buf(MAX_C * (MAX_C + 1) / 2),
+        k in 0usize..MAX_C,
+    ) {
+        let packed = &packed[..kernels::packed_len(k)];
+        let mut got = vec![f64::NAN; k * k];
+        let mut want = vec![7.0; k * k];
+        kernels::unpack_symmetric(k, packed, &mut got);
+        kernels::unpack_symmetric_ref(k, packed, &mut want);
         for (g, w) in got.iter().zip(&want) {
             prop_assert_eq!(g.to_bits(), w.to_bits());
         }

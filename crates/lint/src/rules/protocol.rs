@@ -30,8 +30,9 @@
 //! quad plus a quoted name (table cell or prose), `version` rows/prose
 //! with a backticked hex byte, and the opcode / error-kind / spec-tag /
 //! state-tag tables (recognized by their header rows). A state-tag row
-//! whose `written` cell is not `yes` is a retired tag: it must have no
-//! source constant.
+//! whose `written` cell is `yes` or starts with `read only` (a tag the
+//! previous build wrote, still converted on load) must have a source
+//! constant; any other row is a retired tag and must have none.
 
 use super::Finding;
 use crate::lexer::{lex, Token, TokenKind};
@@ -219,7 +220,7 @@ pub struct DocConstants {
     pub err_kinds: Vec<(u64, String, u32)>,
     /// Spec tag → (variant name, line).
     pub spec_tags: Vec<(u64, String, u32)>,
-    /// Mechanism state tag → (written by this build, line).
+    /// Mechanism state tag → (written or read by this build, line).
     pub state_tags: Vec<(u64, bool, u32)>,
 }
 
@@ -328,7 +329,8 @@ pub fn extract_doc(doc: &str) -> DocConstants {
                 if let (Some(v), Some(written)) =
                     (cells.first().and_then(|c| bare_hex_byte(c)), lower.get(2))
                 {
-                    out.state_tags.push((v, written == "yes", lineno));
+                    let live = written == "yes" || written.starts_with("read only");
+                    out.state_tags.push((v, live, lineno));
                 }
             }
             TableMode::None => {}
@@ -601,8 +603,8 @@ pub fn compare(src: &SourceConstants, doc: &DocConstants) -> Vec<Finding> {
         }
     }
 
-    // State tags: the consts are exactly the rows marked as written; a
-    // retired row keeps its value from being reused.
+    // State tags: the consts are exactly the rows marked as written or
+    // read only; a retired row keeps its value from being reused.
     for (name, value, file, line) in &src.state_tags {
         match doc.state_tags.iter().find(|(t, _, _)| t == value) {
             None => push(
@@ -626,7 +628,9 @@ pub fn compare(src: &SourceConstants, doc: &DocConstants) -> Vec<Finding> {
                 DOC_FILE,
                 *line,
                 "statetag",
-                format!("documented state tag 0x{value:02X} is written but has no source constant"),
+                format!(
+                    "documented state tag 0x{value:02X} is written or read but has no source constant"
+                ),
             );
         }
     }
@@ -667,6 +671,7 @@ fn dec_spec(d: &mut Dec) -> Result<MechanismSpec, WireError> {
 }
 pub const TAG_TRIVIAL: u8 = 3;
 pub const TAG_REG1_LIVE: u8 = 5;
+pub const TAG_REG1_PACKED: u8 = 8;
 "#;
 
     const DOC: &str = r#"
@@ -695,7 +700,8 @@ pub const TAG_REG1_LIVE: u8 = 5;
 |---|---|---|---|
 | `01` | `PRIVINCREG1` | no — retired, refused | — |
 | `03` | `Trivial` | yes | `t` |
-| `05` | `PRIVINCREG1` | yes | `t`, counted `θ`, two trees |
+| `05` | `PRIVINCREG1` | read only — converted on load | `t`, counted `θ`, two trees |
+| `08` | `PRIVINCREG1` | yes | `t`, counted `θ`, two packed trees |
 "#;
 
     #[test]
@@ -706,12 +712,12 @@ pub const TAG_REG1_LIVE: u8 = 5;
         assert_eq!(src.err_kinds_dec.len(), 2);
         assert_eq!(src.err_kinds_enc.len(), 2);
         assert_eq!(src.spec_tags.len(), 2);
-        assert_eq!(src.state_tags.len(), 2);
+        assert_eq!(src.state_tags.len(), 3);
         let doc = extract_doc(DOC);
         assert_eq!(doc.versions, vec![("PIRW".to_string(), 1, 3)]);
         assert_eq!(
             doc.state_tags.iter().map(|&(t, w, _)| (t, w)).collect::<Vec<_>>(),
-            [(1, false), (3, true), (5, true)]
+            [(1, false), (3, true), (5, true), (8, true)]
         );
         let findings = compare(&src, &doc);
         assert!(findings.is_empty(), "{findings:#?}");
@@ -751,8 +757,13 @@ pub const TAG_REG1_LIVE: u8 = 5;
         assert_eq!(orphan.len(), 1, "{orphan:#?}");
         assert!(orphan[0].contains("0x07"), "{orphan:#?}");
         // A const whose row says the tag is retired.
-        let retired = statetag(&DOC.replace("| `05` | `PRIVINCREG1` | yes |", "| `05` | x | no |"));
+        let retired = statetag(&DOC.replace("| `08` | `PRIVINCREG1` | yes |", "| `08` | x | no |"));
         assert_eq!(retired.len(), 1, "{retired:#?}");
+        // A read-only row is live too: retiring its const is caught.
+        let read_only =
+            statetag(&DOC.replace("| `05` | `PRIVINCREG1` | read only", "| `05` | x | no"));
+        assert_eq!(read_only.len(), 1, "{read_only:#?}");
+        assert!(read_only[0].contains("0x05"), "{read_only:#?}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! complete record, never panics, and never silently drops a committed
 //! command.
 
-use pir_engine::wal::{self, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
+use pir_engine::wal::{self, SegmentHeader, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
 use private_incremental_regression::prelude::*;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -570,4 +570,139 @@ fn replayed_failures_are_counted_alike_by_both_restart_paths() {
         }
     }
     assert_eq!(handle.close().sessions, direct.session_count());
+}
+
+// ---------------------------------------------------------------------------
+// Logs the previous build wrote
+// ---------------------------------------------------------------------------
+
+/// Rewrite every segment under `dir` as the previous build wrote it: WAL
+/// version 1 has this build's layout, so only the header's version byte
+/// and its CRC change.
+fn as_previous_build(dir: &Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "wal") {
+            let header = wal::scan_segment(&path).unwrap().header.unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[..SEGMENT_HEADER_LEN]
+                .copy_from_slice(&SegmentHeader { version: 1, ..header }.to_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        }
+    }
+}
+
+fn bits(theta: &[f64]) -> Vec<u64> {
+    theta.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Recover the prefix logged in `dir`, checkpoint it, then log `tail` as
+/// a later process would.
+fn checkpoint_then_log(dir: &Path, seed: u64, tail: &[Command]) {
+    let mut staging = fresh_engine(1, seed);
+    wal::recover(dir, &mut staging).unwrap();
+    wal::checkpoint(dir, &staging).unwrap();
+    log_and_crash(dir, tail);
+}
+
+/// The previous build drew the `PRIVINCREG1`/`PRIVINCREG2` second-moment
+/// tree noise over the full `k²` width; this build draws it packed. A
+/// previous-build log that would replay an observe into such a session
+/// would give already released tree nodes a second, independent noise,
+/// so recovery refuses it, by both restart paths, before applying
+/// anything: with no checkpoint (the whole history) and past one.
+#[test]
+fn previous_build_log_replaying_tree_observes_is_refused() {
+    let seed = 61;
+    let tmp = TempDir::new("previous-build-history");
+    log_and_crash(tmp.path(), &command_stream(2));
+    as_previous_build(tmp.path());
+    let mut engine = fresh_engine(2, seed);
+    let err = wal::recover(tmp.path(), &mut engine).unwrap_err();
+    assert!(matches!(err, WalError::PreviousBuildObserve { session_id: 0, .. }), "{err:?}");
+    assert!(err.to_string().contains("checkpoint with no traffic after it"), "{err}");
+    assert_eq!((engine.session_count(), engine.total_points()), (0, 0));
+    let options = WalOptions { fsync: FsyncPolicy::Off, ..WalOptions::new(tmp.path()) };
+    let refused =
+        EngineHandle::with_wal(IngressConfig { num_shards: 1, seed, queue_depth: 64 }, &options);
+    assert!(
+        matches!(&refused, Err(EngineError::Wal { reason }) if reason.contains("0x0000000000000000")),
+        "{:?}",
+        refused.map(|(_, report)| report)
+    );
+
+    let d = 4;
+    for (name, spec) in
+        [("reg1", MechanismSpec::reg1_l2(d)), ("reg2", MechanismSpec::reg2_l1(d, 1.0))]
+    {
+        let tmp = TempDir::new(&format!("previous-build-tail-{name}"));
+        let open = Command::Open { session_id: 5, spec, t_max: 16, params: params() };
+        log_and_crash(
+            tmp.path(),
+            &[open, Command::Observe { session_id: 5, point: point(d, 0, 5) }],
+        );
+        let batch = (1..3).map(|t| point(d, t, 5)).collect();
+        checkpoint_then_log(
+            tmp.path(),
+            seed,
+            &[Command::ObserveBatch { session_id: 5, points: batch }],
+        );
+        as_previous_build(tmp.path());
+        let mut engine = fresh_engine(1, seed);
+        let err = wal::recover(tmp.path(), &mut engine).unwrap_err();
+        assert!(
+            matches!(err, WalError::PreviousBuildObserve { session_id: 5, .. }),
+            "{name}: {err:?}"
+        );
+        assert_eq!(engine.session_count(), 0, "{name}: the checkpoint must not be adopted");
+    }
+}
+
+/// The upgrade the refusal names goes through: a previous-build log whose
+/// tail past the checkpoint opens a tree session and observes only a
+/// session without a tree recovers, bit-identically to the same log
+/// written by this build.
+#[test]
+fn previous_build_log_without_tree_observes_recovers() {
+    let seed = 67;
+    let d = 3;
+    let trivial = MechanismSpec::Trivial { set: SetSpec::unit_l2(d) };
+    let tail = vec![
+        Command::Open {
+            session_id: 2,
+            spec: MechanismSpec::reg1_l2(d),
+            t_max: 16,
+            params: params(),
+        },
+        Command::Open { session_id: 3, spec: trivial, t_max: 16, params: params() },
+        Command::Observe { session_id: 3, point: point(d, 0, 3) },
+        Command::Release { session_id: 3 },
+    ];
+    let mut later = Vec::new();
+    for previous in [false, true] {
+        let tmp = TempDir::new(&format!("previous-build-upgrade-{previous}"));
+        let open = Command::Open {
+            session_id: 1,
+            spec: MechanismSpec::reg1_l2(d),
+            t_max: 16,
+            params: params(),
+        };
+        let observes = (0..3).map(|t| Command::Observe { session_id: 1, point: point(d, t, 1) });
+        log_and_crash(tmp.path(), &[open].into_iter().chain(observes).collect::<Vec<_>>());
+        checkpoint_then_log(tmp.path(), seed, &tail);
+        if previous {
+            as_previous_build(tmp.path());
+        }
+        let mut engine = fresh_engine(2, seed);
+        let report = wal::recover(tmp.path(), &mut engine).unwrap();
+        assert_eq!((report.snapshot_sessions, report.commands), (1, tail.len() as u64));
+        assert_eq!(engine.session_count(), 2);
+        let releases: Vec<Vec<u64>> = [1u64, 2, 1]
+            .iter()
+            .enumerate()
+            .map(|(t, &sid)| bits(&engine.observe(sid, &point(d, t + 3, sid)).unwrap()))
+            .collect();
+        later.push(releases);
+    }
+    assert_eq!(later[0], later[1], "a previous-build tail must replay like this build's");
 }

@@ -68,10 +68,22 @@ fn reg2_spec() -> MechanismSpec {
     }
 }
 
+/// The previous build's snapshots of the `deep_blob` and `reg2_blob`
+/// sessions: their state blobs carry tags 5 and 7, with full-width
+/// second-moment trees, which restore packs.
+fn legacy_blobs() -> [Vec<u8>; 2] {
+    [
+        common::unhex(include_str!("fixtures/reg1_tag5_snapshot.hex")),
+        common::unhex(include_str!("fixtures/reg2_tag7_snapshot.hex")),
+    ]
+}
+
 /// Every blob the sweeps corrupt: the shallow session, the deep one,
-/// and a `PRIVINCREG2` session.
-fn sweep_blobs() -> [Vec<u8>; 3] {
-    [real_blob(), deep_blob(), reg2_blob()]
+/// a `PRIVINCREG2` session, and the previous build's snapshots of the
+/// last two.
+fn sweep_blobs() -> [Vec<u8>; 5] {
+    let [legacy_reg1, legacy_reg2] = legacy_blobs();
+    [real_blob(), deep_blob(), reg2_blob(), legacy_reg1, legacy_reg2]
 }
 
 /// Restore must answer every corruption with `Err`, never a panic. The
@@ -181,14 +193,15 @@ proptest! {
     /// are validated before the CRC is even checked).
     #[test]
     fn every_bit_flip_is_detected(
-        which in 0usize..3,
+        which in 0usize..5,
         byte_frac in 0.0f64..1.0,
         bit in 0usize..8,
     ) {
         let mut blob = match which {
             0 => real_blob(),
             1 => deep_blob(),
-            _ => reg2_blob(),
+            2 => reg2_blob(),
+            _ => legacy_blobs()[which - 3].clone(),
         };
         let idx = ((blob.len() as f64) * byte_frac) as usize;
         let idx = idx.min(blob.len() - 1);
@@ -338,7 +351,7 @@ fn live_row_count_other_than_popcount_is_invalid_state() {
     let [_, xy, xx] = reg1_t_offsets();
     assert_eq!(blob[xy..xy + 8], 11u64.to_le_bytes(), "offset arithmetic");
     assert_eq!(blob[xx..xx + 8], 11u64.to_le_bytes(), "offset arithmetic");
-    for (at, dim) in [(xy, D as u64), (xx, (D * D) as u64)] {
+    for (at, dim) in [(xy, D as u64), (xx, (D * (D + 1) / 2) as u64)] {
         // 0, 8 and 1 (fewer live levels), 15 (more), with the same t_max.
         for forged in [0u64, 1, 8, 15] {
             let mut bad = blob.clone();
@@ -491,5 +504,78 @@ fn retired_mechanism_tags_are_refused() {
             assert!(is_invalid_state(mech.load_state(&state)), "tag {tag}");
             assert_eq!(mech.t(), 11, "a refused blob left state behind");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The previous build's layout: tags 5 and 7 convert on load
+// ---------------------------------------------------------------------------
+
+/// A snapshot the previous build wrote restores, packs its trees, and
+/// continues to the horizon; its next snapshot is written in this build's
+/// layout (tags 8 and 9) and restores to the same continuation, bit for
+/// bit.
+#[test]
+fn legacy_snapshots_restore_convert_and_continue() {
+    let [reg1, reg2] = legacy_blobs();
+    for (blob, d, [legacy, tag]) in [(reg1, 3, [5u8, 8]), (reg2, 4, [7, 9])] {
+        assert_eq!(common::snapshot_state(&blob)[0], legacy, "fixture tag");
+        let mut session = restore(&blob).unwrap();
+        assert_eq!(session.t(), 11);
+        let converted = session.snapshot().unwrap();
+        assert_eq!(common::snapshot_state(&converted)[0], tag);
+        let mut again = restore(&converted).unwrap();
+        for t in 11..T_MAX {
+            let z = point(d, t);
+            assert_eq!(session.observe(&z).unwrap(), again.observe(&z).unwrap(), "t = {t}");
+        }
+    }
+}
+
+/// Every prefix of a tag-5 or tag-7 mechanism blob is `InvalidState`,
+/// and every single-bit flip either loads or is `InvalidState`, on the
+/// converting path as on the current one.
+#[test]
+fn legacy_blob_truncations_and_bit_flips_are_typed() {
+    let (mut reg1, mut reg2) = common::pin_mechanisms();
+    let [blob1, blob2] = common::legacy_pin_blobs();
+    let mechs: [(&mut dyn IncrementalMechanism, Vec<u8>); 2] =
+        [(&mut reg1, blob1), (&mut reg2, blob2)];
+    for (mech, bytes) in mechs {
+        for cut in 0..bytes.len() {
+            assert!(is_invalid_state(mech.load_state(&bytes[..cut])), "prefix of {cut} bytes");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let r = mech.load_state(&bad);
+            assert!(r.is_ok() || is_invalid_state(r), "flipped bit {bit}");
+        }
+        mech.load_state(&bytes).unwrap();
+        assert_eq!(mech.t(), 5);
+    }
+}
+
+/// A blob relabelled across layouts — a packed body under the legacy
+/// tag, or a full-width body under the current one — is `InvalidState`:
+/// its second-moment rows have the other width.
+#[test]
+fn relabelled_layouts_are_invalid_state() {
+    let (mut reg1, blob1) = reg1_state();
+    let (mut reg2, blob2) = reg2_state();
+    let (mut legacy1, mut legacy2) = common::pin_mechanisms();
+    let [old1, old2] = common::legacy_pin_blobs();
+    let cases: [(&mut dyn IncrementalMechanism, Vec<u8>, u8); 4] = [
+        (&mut reg1, blob1, 5),
+        (&mut reg2, blob2, 7),
+        (&mut legacy1, old1, 8),
+        (&mut legacy2, old2, 9),
+    ];
+    for (mech, blob, relabel) in cases {
+        let mut bad = blob.clone();
+        bad[0] = relabel;
+        assert!(is_invalid_state(mech.load_state(&bad)), "relabelled to tag {relabel}");
+        assert_eq!(mech.t(), 0, "a refused blob left state behind");
+        mech.load_state(&blob).unwrap();
     }
 }

@@ -286,7 +286,7 @@ proptest! {
         }
         let mut blob = Vec::new();
         live.save_state(&mut blob).unwrap();
-        prop_assert_eq!(blob[0], codec::TAG_REG2_SMOOTHNESS);
+        prop_assert_eq!(blob[0], codec::TAG_REG2_PACKED);
         let mut restored = reg2(d, m, t_max, seed);
         restored.load_state(&blob).unwrap();
         let expected = sketch_smoothness(restored.sketch()).to_bits();
@@ -340,29 +340,16 @@ fn reg2_restore_uses_the_carried_smoothness() {
 /// field order, widths, the tree encoding — moves one of these numbers,
 /// so a codec refactor that claims "bytes unchanged" is held to it.
 ///
-/// The tree mechanisms write the live-level layout, and `PRIVINCREG2`
-/// appends the carried lift smoothness (tag 7).
+/// The tree mechanisms write the live-level layout with the second
+/// moment packed (tags 8 and 9), and `PRIVINCREG2` appends the carried
+/// lift smoothness. The previous build's tags 5 and 7 keep their pins in
+/// [`legacy_blobs_are_byte_pinned_and_convert_on_load`].
 #[test]
 fn mechanism_state_blobs_are_byte_pinned() {
-    let p = params();
-    let mut rng = NoiseRng::seed_from_u64(2017);
-    let reg2_config =
-        PrivIncReg2Config { m_override: Some(3), lift_iters: 40, ..Default::default() };
+    let (reg1, reg2) = common::pin_mechanisms();
     let mechs: Vec<(&str, Box<dyn IncrementalMechanism>)> = vec![
-        (
-            "reg1 d=2",
-            Box::new(
-                PrivIncReg1::new(Box::new(L2Ball::unit(2)), 16, &p, &mut rng, Default::default())
-                    .unwrap(),
-            ),
-        ),
-        (
-            "reg2 d=4 m=3",
-            Box::new(
-                PrivIncReg2::new(Box::new(L1Ball::unit(4)), 2.0, 16, &p, &mut rng, reg2_config)
-                    .unwrap(),
-            ),
-        ),
+        ("reg1 d=2", Box::new(reg1)),
+        ("reg2 d=4 m=3", Box::new(reg2)),
         ("exact d=2", Box::new(ExactIncremental::new(Box::new(L2Ball::unit(2))))),
         ("trivial d=2", Box::new(TrivialMechanism::new(&L2Ball::unit(2)))),
     ];
@@ -379,8 +366,8 @@ fn mechanism_state_blobs_are_byte_pinned() {
     assert_eq!(
         pins,
         vec![
-            ("reg1 d=2", 369, 0x61AA_83E3),
-            ("reg2 d=4 m=3", 666, 0x66F2_0514),
+            ("reg1 d=2", 329, 0xEF72_B8A3),
+            ("reg2 d=4 m=3", 546, 0x7F39_28A4),
             ("exact d=2", 105, 0x6991_3C2E),
             ("trivial d=2", 9, 0x9764_260F),
         ],
@@ -392,7 +379,8 @@ fn mechanism_state_blobs_are_byte_pinned() {
 /// byte: the 169-byte live-level blob of a `PRIVINCREG1` in dimension 1
 /// with `T = 4` after two points. At `t = 2` only tree level 1 is live, so
 /// each tree carries one `(a_1, b_1)` pair and level 0 (and 2) are not
-/// written at all.
+/// written at all. At `d = 1` the packed second moment is the single
+/// entry `x²`.
 #[test]
 fn mechanism_state_worked_example_matches_protocol_md() {
     let mut rng = NoiseRng::seed_from_u64(7);
@@ -405,8 +393,8 @@ fn mechanism_state_worked_example_matches_protocol_md() {
     mech.save_state(&mut blob).unwrap();
     #[rustfmt::skip]
     let expected: Vec<u8> = vec![
-        // tag 05 = Reg1, live-level trees; t = 2
-        0x05,
+        // tag 08 = Reg1, live-level trees, packed second moment; t = 2
+        0x08,
         0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         // warm-start iterate: count 1, θ₁
         0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
@@ -422,7 +410,7 @@ fn mechanism_state_worked_example_matches_protocol_md() {
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xC0, 0xBF,
         0x31, 0x9F, 0x53, 0xB9, 0x48, 0x38, 0x3F, 0x40,
         0x31, 0x9F, 0x53, 0xB9, 0x48, 0x38, 0x3F, 0x40,
-        // tree Σ x·xᵀ: t = 2, generator words, dimension 1
+        // tree Σ x·xᵀ (packed): t = 2, generator words, dimension 1
         0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
         0x66, 0x07, 0xBB, 0xCA, 0x68, 0xF7, 0xA8, 0x98,
         0xB3, 0x10, 0xB1, 0x05, 0x1C, 0x27, 0x56, 0xD0,
@@ -435,4 +423,45 @@ fn mechanism_state_worked_example_matches_protocol_md() {
         0x1C, 0x0B, 0x8A, 0xCC, 0x87, 0xBC, 0x42, 0x40,
     ];
     assert_eq!(blob, expected, "docs/PROTOCOL.md's mechanism state worked example is stale");
+}
+
+/// Read-compat pins of the previous build's state blobs (tags 5 and 7,
+/// full-width second-moment trees), each after 5 points of the byte-pin
+/// stream. Each loads into a fresh mechanism, which packs its trees and
+/// re-saves it as tag 8 or 9 (pinned too). A second fresh mechanism that
+/// loads the re-saved blob then continues bit-identically with the first
+/// for the remaining 11 steps, and both end on the same bytes.
+#[test]
+fn legacy_blobs_are_byte_pinned_and_convert_on_load() {
+    let [reg1_blob, reg2_blob] = common::legacy_pin_blobs();
+    let pin = |b: &[u8]| (b[0], b.len(), pir_engine::wal::crc32(b));
+    assert_eq!(pin(&reg1_blob), (codec::TAG_REG1_LIVE, 369, 0x61AA_83E3));
+    assert_eq!(pin(&reg2_blob), (codec::TAG_REG2_SMOOTHNESS, 666, 0x66F2_0514));
+
+    let (mut reg1, mut reg2) = common::pin_mechanisms();
+    let (mut reg1_again, mut reg2_again) = common::pin_mechanisms();
+    let pairs: [(&mut dyn IncrementalMechanism, &mut dyn IncrementalMechanism, &[u8], _); 2] = [
+        (&mut reg1, &mut reg1_again, &reg1_blob, (codec::TAG_REG1_PACKED, 329, 0x1E4C_C428)),
+        (&mut reg2, &mut reg2_again, &reg2_blob, (codec::TAG_REG2_PACKED, 546, 0x29EC_77C0)),
+    ];
+    for (mech, again, legacy, converted_pin) in pairs {
+        mech.load_state(legacy).unwrap();
+        assert_eq!(mech.t(), 5);
+        let mut converted = Vec::new();
+        mech.save_state(&mut converted).unwrap();
+        assert_eq!(pin(&converted), converted_pin, "{} converted", mech.name());
+        again.load_state(&converted).unwrap();
+        let d = mech.dim();
+        for t in 5..16 {
+            let z = point(d, t, 3);
+            let a: Vec<u64> = mech.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+            let b: Vec<u64> = again.observe(&z).unwrap().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(a, b, "{} diverged at t = {t}", mech.name());
+        }
+        let (mut end, mut end_again) = (Vec::new(), Vec::new());
+        mech.save_state(&mut end).unwrap();
+        again.save_state(&mut end_again).unwrap();
+        assert_eq!(end[0], converted_pin.0);
+        assert_eq!(end, end_again);
+    }
 }
