@@ -29,4 +29,4 @@ pub mod width;
 pub use sets::{
     BoxSet, GroupL1Ball, KSparseDomain, L1Ball, L2Ball, LinfBall, LpBall, PolytopeHull, Simplex,
 };
-pub use traits::{ConvexSet, WidthSet};
+pub use traits::{ConvexSet, ProjectionHint, WidthSet};

@@ -25,6 +25,27 @@ pub trait WidthSet: std::fmt::Debug + Send + Sync {
     fn diameter(&self) -> f64;
 }
 
+/// A warm-start hint for [`ConvexSet::project_into_hinted`]: what the
+/// previous projection of an iterative solver learned about the next one.
+/// It only ever changes the projection's cost, never its result.
+///
+/// The default (`0`) carries no information. For [`crate::L1Ball`] the
+/// value is the number of magnitudes the last soft threshold kept.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProjectionHint(usize);
+
+impl ProjectionHint {
+    /// A hint holding `value`; `0` is the no-information default.
+    pub fn new(value: usize) -> Self {
+        ProjectionHint(value)
+    }
+
+    /// The hint's value.
+    pub fn get(self) -> usize {
+        self.0
+    }
+}
+
 /// A closed convex set supporting Euclidean projection — the constraint
 /// space `C` of the paper's ERM problems.
 pub trait ConvexSet: WidthSet {
@@ -43,6 +64,29 @@ pub trait ConvexSet: WidthSet {
     /// Panics if `out.len()` differs from the projection's length.
     fn project_into(&self, x: &[f64], out: &mut [f64]) {
         out.copy_from_slice(&self.project(x));
+    }
+
+    /// [`ConvexSet::project_into`] with a warm-start hint carried from
+    /// one call to the next — the form iterative solvers call, whose
+    /// successive inputs are close (FISTA on the gauge lift).
+    ///
+    /// **Contract:** the result never depends on the hint. Every hint
+    /// value — the default, a stale one, a too-small or too-large one,
+    /// `usize::MAX` — gives the bits [`ConvexSet::project_into`] gives;
+    /// the hint may only change the cost. An implementation may update
+    /// it for the next call.
+    ///
+    /// The default ignores the hint and calls
+    /// [`ConvexSet::project_into`]. [`crate::L1Ball`] overrides it: the
+    /// hint is the number of magnitudes the previous threshold kept, and
+    /// a good one lets the projection sort only that many instead of all
+    /// `d`.
+    ///
+    /// # Panics
+    /// As [`ConvexSet::project_into`].
+    fn project_into_hinted(&self, x: &[f64], out: &mut [f64], hint: &mut ProjectionHint) {
+        let _ = hint;
+        self.project_into(x, out);
     }
 
     /// The maximizer `argmax_{a∈C} ⟨a, g⟩` (linear maximization oracle).
@@ -111,6 +155,9 @@ impl<S: ConvexSet + ?Sized> ConvexSet for Box<S> {
     }
     fn project_into(&self, x: &[f64], out: &mut [f64]) {
         (**self).project_into(x, out)
+    }
+    fn project_into_hinted(&self, x: &[f64], out: &mut [f64], hint: &mut ProjectionHint) {
+        (**self).project_into_hinted(x, out, hint)
     }
     fn support(&self, g: &[f64]) -> Vec<f64> {
         (**self).support(g)

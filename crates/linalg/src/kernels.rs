@@ -272,8 +272,12 @@ pub fn set_packed_outer_ref(x: &[f64], out: &mut [f64]) {
 /// diagonal, `p_ij/√2` at `(i, j)` and `(j, i)`.
 ///
 /// One [`vector::scaled_copy_into`] per row of the upper triangle, then a
-/// mirror copy into the lower one; bit-identical to
-/// [`unpack_symmetric_ref`].
+/// mirror copy into the lower one in `UNPACK_TILE × UNPACK_TILE` tiles:
+/// each off-diagonal tile is read as row segments into a local array
+/// and written back transposed as row segments, where an entry-by-entry
+/// mirror reads down a column. The diagonal tiles and the rows past the
+/// last whole tile mirror entry by entry. Only copies, so bit-identical
+/// to [`unpack_symmetric_ref`].
 ///
 /// # Panics
 /// Panics in debug builds on shape mismatch.
@@ -288,12 +292,38 @@ pub fn unpack_symmetric(k: usize, packed: &[f64], out: &mut [f64]) {
         vector::scaled_copy_into(std::f64::consts::FRAC_1_SQRT_2, &row[1..], &mut upper[1..]);
         rest = next;
     }
-    for i in 1..k {
+    const T: usize = UNPACK_TILE;
+    let whole = k - k % T;
+    for bi in (0..whole).step_by(T) {
+        for bj in (0..bi).step_by(T) {
+            let mut tile = [[0.0; T]; T];
+            for (r, src) in tile.iter_mut().enumerate() {
+                let at = (bj + r) * k + bi;
+                src.copy_from_slice(&out[at..at + T]);
+            }
+            for c in 0..T {
+                let at = (bi + c) * k + bj;
+                for (o, src) in out[at..at + T].iter_mut().zip(&tile) {
+                    *o = src[c];
+                }
+            }
+        }
+        for i in bi + 1..bi + T {
+            for j in bi..i {
+                out[i * k + j] = out[j * k + i];
+            }
+        }
+    }
+    for i in whole..k {
         for j in 0..i {
             out[i * k + j] = out[j * k + i];
         }
     }
 }
+
+/// Tile edge of [`unpack_symmetric`]'s mirror copy. Four beat two, eight
+/// and sixteen at `k` = 64 and 100 (`kernels_packed_outer`).
+const UNPACK_TILE: usize = 4;
 
 /// Scalar reference for [`unpack_symmetric`]: each entry read from its
 /// packed index.

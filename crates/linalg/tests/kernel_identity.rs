@@ -175,3 +175,26 @@ proptest! {
         }
     }
 }
+
+/// The tiled mirror of `unpack_symmetric` at every tile edge it can
+/// meet: `k` = 1–9 (below, at and past one and two 4-wide tiles), 64 and
+/// 100 (whole tiles only) and 101 (rows past the last whole tile), on
+/// data with both zeros, infinities, NaN and subnormals, into a dirty
+/// buffer.
+#[test]
+fn unpack_symmetric_is_bit_identical_to_reference_across_tile_edges() {
+    let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324, -1e300];
+    for k in (1..=9).chain([64, 100, 101]) {
+        let n = kernels::packed_len(k);
+        let packed: Vec<f64> = (0..n)
+            .map(|i| if i % 11 == 3 { special[i % 7] } else { (i as f64 * 0.37).sin() * 40.0 })
+            .collect();
+        let mut got = vec![f64::NAN; k * k];
+        let mut want = vec![7.0; k * k];
+        kernels::unpack_symmetric(k, &packed, &mut got);
+        kernels::unpack_symmetric_ref(k, &packed, &mut want);
+        for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "k = {k}, entry ({}, {})", at / k, at % k);
+        }
+    }
+}

@@ -2,7 +2,7 @@
 //! and Frank–Wolfe.
 
 use crate::objective::Objective;
-use pir_geometry::ConvexSet;
+use pir_geometry::{ConvexSet, ProjectionHint};
 use pir_linalg::vector;
 
 /// Step-size schedules for [`projected_gradient`].
@@ -86,13 +86,18 @@ pub fn fista<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
 
 /// Reusable iteration buffers for [`fista_into`]: gradient, momentum
 /// point, pre-projection step, and projected iterate — all of dimension
-/// `d`.
+/// `d` — plus the [`ProjectionHint`] each projection hands the next
+/// ([`ConvexSet::project_into_hinted`]). The hint survives from one run
+/// to the next, so a caller that keeps its scratch across calls (the
+/// per-step lift) starts each run from the last one's hint; by the
+/// hint contract the iterates never depend on it.
 #[derive(Debug, Clone)]
 pub struct FistaScratch {
     g: Vec<f64>,
     momentum: Vec<f64>,
     raw: Vec<f64>,
     next: Vec<f64>,
+    hint: ProjectionHint,
 }
 
 impl FistaScratch {
@@ -103,6 +108,7 @@ impl FistaScratch {
             momentum: vec![0.0; d],
             raw: vec![0.0; d],
             next: vec![0.0; d],
+            hint: ProjectionHint::default(),
         }
     }
 }
@@ -206,16 +212,16 @@ fn fista_loop<const RESTART: bool, O: Objective + ?Sized, C: ConvexSet + ?Sized>
     assert_eq!(out.len(), theta0.len(), "fista: output length mismatch");
     assert_eq!(scratch.g.len(), theta0.len(), "fista: scratch dimension mismatch");
     let step = 1.0 / smoothness;
-    let FistaScratch { g, momentum, raw, next } = scratch;
+    let FistaScratch { g, momentum, raw, next, hint } = scratch;
     // `out` holds the current iterate θ_k throughout.
-    set.project_into(theta0, out);
+    set.project_into_hinted(theta0, out, hint);
     momentum.copy_from_slice(out);
     let mut t_k = 1.0f64;
     for k in 0..iters {
         obj.gradient_into(momentum, g);
         raw.copy_from_slice(momentum);
         vector::axpy(-step, g, raw);
-        set.project_into(raw, next);
+        set.project_into_hinted(raw, next, hint);
         let mut t_next = 0.5 * (1.0 + (1.0 + 4.0 * t_k * t_k).sqrt());
         let mut beta = (t_k - 1.0) / t_next;
         if RESTART {
@@ -351,6 +357,37 @@ mod tests {
         let view = crate::objective::QuadraticView::new(&a2, &b2, 0.0);
         fista_into(&view, &set, 400.0, 200, &[1.5, -1.5], &mut scratch, &mut out);
         assert_eq!(out.to_vec(), expect);
+    }
+
+    #[test]
+    fn restarting_fista_ignores_the_projection_hint_it_carries() {
+        // An ℓ₁-constrained least squares whose projections threshold:
+        // the hint a run leaves behind, or any planted value, must not
+        // move a bit of the next run.
+        let d = 40;
+        let entries =
+            (0..d * d).map(|k| if k % (d + 1) == 0 { 2.0 + (k / d) as f64 / 10.0 } else { 0.1 });
+        let a = Matrix::from_vec(d, d, entries.collect()).unwrap();
+        let b: Vec<f64> = (0..d).map(|i| if i % 3 == 0 { 1.5 } else { -0.2 }).collect();
+        let obj = Quadratic::new(a, b, 0.0);
+        let set = L1Ball::new(d, 2.0);
+        let start = vec![0.3; d];
+        let run = |scratch: &mut FistaScratch| {
+            let mut out = vec![f64::NAN; d];
+            let used =
+                fista_into_restarting(&obj, &set, 12.0, 60, 1e-12, &start, scratch, &mut out);
+            (used, out.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let fresh = run(&mut FistaScratch::new(d));
+        let mut reused = FistaScratch::new(d);
+        run(&mut reused);
+        assert_ne!(reused.hint, ProjectionHint::default(), "the projections never thresholded");
+        assert_eq!(run(&mut reused), fresh);
+        for h in [1, 7, d - 1, d, usize::MAX] {
+            let mut planted = FistaScratch::new(d);
+            planted.hint = ProjectionHint::new(h);
+            assert_eq!(run(&mut planted), fresh, "hint {h}");
+        }
     }
 
     #[test]
