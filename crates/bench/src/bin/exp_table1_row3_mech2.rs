@@ -9,7 +9,7 @@ use pir_bench::{fitting, median, report, runner, scaled};
 use pir_geometry::{KSparseDomain, L1Ball, WidthSet};
 
 fn run_cell(d: usize, t: usize, eps: f64, noise_std: f64, seed: u64) -> (f64, f64, usize) {
-    let out = Cell { d, t, eps, noise_std, seed }.run();
+    let out = Cell { d, t, eps, noise_std, seed, m: None }.run();
     (out.max_excess, out.final_opt, out.m)
 }
 

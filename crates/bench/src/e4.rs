@@ -27,6 +27,8 @@ pub struct Cell {
     pub noise_std: f64,
     /// Seed of the stream, the sketch and the noise.
     pub seed: u64,
+    /// Sketch dimension `m`; `None` lets Gordon's rule choose it.
+    pub m: Option<usize>,
 }
 
 /// What one cell measured.
@@ -61,7 +63,12 @@ impl Cell {
             self.t,
             &params,
             &mut rng,
-            PrivIncReg2Config { gordon_constant: 0.02, lift_iters: 60, ..Default::default() },
+            PrivIncReg2Config {
+                gordon_constant: 0.02,
+                m_override: self.m,
+                lift_iters: 60,
+                ..Default::default()
+            },
         )
         .expect("valid E4 configuration");
         let (m, risk_bound) = (mech.m(), mech.risk_bound_leading());

@@ -27,14 +27,14 @@ use crate::descent::DescentStrategy;
 use crate::error::CoreError;
 use crate::gradient_fn::PrivateGradient;
 use crate::lift::{
-    lift_constrained_ls_into, sketch_smoothness_with, smoothness_bracket, LiftScratch,
+    lift_constrained_ls_into, lift_gap, sketch_smoothness_with, smoothness_bracket, LiftScratch,
 };
 use crate::stream::{check_arrivals, IncrementalMechanism};
 use crate::Result;
 use pir_dp::{NoiseRng, PrivacyParams};
 use pir_erm::DataPoint;
 use pir_geometry::{ConvexSet, L2Ball, WidthSet};
-use pir_linalg::{vector, PowerIterScratch};
+use pir_linalg::vector;
 use pir_sketch::{gordon, GaussianSketch};
 
 /// Tuning knobs for [`PrivIncReg2`].
@@ -50,7 +50,12 @@ pub struct PrivIncReg2Config {
     pub gordon_constant: f64,
     /// Cap on per-step `NOISYPROJGRAD` iterations.
     pub max_pgd_iters: usize,
-    /// FISTA iterations for the lifting step.
+    /// Work budget of the lifting step: its evaluations of `Φθ`, one at
+    /// the projected warm start and one per trial step, whether accepted
+    /// or backtracked (so at most this many sparse products and
+    /// projections, and one fewer dense products `Φᵀr`). A lift that
+    /// certifies its duality gap first stops early
+    /// ([`crate::lift::lift_constrained_ls_into`]).
     pub lift_iters: usize,
     /// Per-timestep minimization strategy (see [`DescentStrategy`]).
     pub strategy: DescentStrategy,
@@ -124,7 +129,7 @@ pub struct PrivIncReg2 {
     last_vartheta: Vec<f64>,
     /// Last lifted release (warm start for the lift FISTA).
     last_theta: Vec<f64>,
-    /// FISTA iterations the last step's lift used (a diagnostic, not
+    /// `Φθ` evaluations the last step's lift used (a diagnostic, not
     /// part of the state blob).
     last_lift_iters: usize,
     scratch: Reg2Scratch,
@@ -140,21 +145,15 @@ struct Reg2Scratch {
     embedded: Vec<f64>,
     /// Per-step minimizer `ϑ_t` in the projected space.
     vartheta: Vec<f64>,
-    /// Residual, column-index and FISTA buffers for the gauge lift
-    /// (Step 9); the Step 4 embedding borrows the column indices.
+    /// Buffers for the gauge lift (Step 9). The Step 4 embedding
+    /// borrows its column indices, and the first step's power iteration
+    /// for the lift smoothness borrows its `m`- and `d`-vectors.
     lift: LiftScratch,
-    /// Power-iteration buffers for the lift smoothness, used once.
-    power: PowerIterScratch,
 }
 
 impl Reg2Scratch {
     fn new(m: usize, d: usize) -> Self {
-        Reg2Scratch {
-            embedded: vec![0.0; m],
-            vartheta: vec![0.0; m],
-            lift: LiftScratch::new(m, d),
-            power: PowerIterScratch::new(m, d),
-        }
+        Reg2Scratch { embedded: vec![0.0; m], vartheta: vec![0.0; m], lift: LiftScratch::new(m, d) }
     }
 }
 
@@ -264,12 +263,25 @@ impl PrivIncReg2 {
         &self.sketch
     }
 
-    /// FISTA iterations the gauge lift (Step 9) used at the last step:
-    /// at most `lift_iters`, fewer once its stop rule fires. Zero before
-    /// the first step and after a state restore (it is not part of the
-    /// state blob).
+    /// Work the gauge lift (Step 9) used at the last step, in the units
+    /// of [`PrivIncReg2Config::lift_iters`]: its evaluations of `Φθ`, one
+    /// at the projected warm start plus one per accepted or backtracked
+    /// trial step. At most `lift_iters`, fewer once the lift certified
+    /// its duality gap. Zero before the first step and after a state
+    /// restore (it is not part of the state blob).
     pub fn last_lift_iters(&self) -> usize {
         self.last_lift_iters
+    }
+
+    /// The duality gap of the last release, relative to the lift
+    /// objective's scale: `gap/‖ϑ_t‖²` ([`crate::lift::lift_gap`],
+    /// computed exactly from dense products). The lift stops once this
+    /// is at most [`crate::lift::LIFT_GAP_TOL`]. A diagnostic that
+    /// allocates; `NaN` or infinite while `ϑ_t = 0`, as before the first
+    /// step.
+    pub fn last_lift_gap(&self) -> f64 {
+        let gap = lift_gap(&self.sketch, &self.last_vartheta, self.set.as_ref(), &self.last_theta);
+        gap / vector::norm2_sq(&self.last_vartheta)
     }
 
     /// Reserved memory in `f64` slots: `O(m² log T + m·d)` (the `m·d`
@@ -335,7 +347,7 @@ impl PrivIncReg2 {
         // preconditions of the _into lift cannot trigger here).
         let smoothness = *self
             .lift_smoothness
-            .get_or_insert_with(|| sketch_smoothness_with(&self.sketch, &mut self.scratch.power));
+            .get_or_insert_with(|| sketch_smoothness_with(&self.sketch, &mut self.scratch.lift));
         self.last_lift_iters = lift_constrained_ls_into(
             &self.sketch,
             &self.scratch.vartheta,

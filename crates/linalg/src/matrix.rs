@@ -435,17 +435,35 @@ impl Matrix {
         max_iters: usize,
         scratch: &mut PowerIterScratch,
     ) -> Result<f64> {
+        let PowerIterScratch { v, av, atav } = scratch;
+        self.spectral_norm_in(tol, max_iters, v, av, atav)
+    }
+
+    /// [`Matrix::spectral_norm_with`] on three caller-owned slices: the
+    /// direction `v` and `AᵀAv` (length `cols`) and `Av` (length
+    /// `rows`), for callers that lend buffers they own for another
+    /// purpose. The same bits; the slices' contents on entry are ignored.
+    ///
+    /// # Errors
+    /// As [`Matrix::spectral_norm_with`].
+    pub fn spectral_norm_in(
+        &self,
+        tol: f64,
+        max_iters: usize,
+        v: &mut [f64],
+        av: &mut [f64],
+        atav: &mut [f64],
+    ) -> Result<f64> {
         if self.rows == 0 || self.cols == 0 {
             return Ok(0.0);
         }
-        if scratch.av.len() != self.rows || scratch.v.len() != self.cols {
+        if av.len() != self.rows || v.len() != self.cols || atav.len() != self.cols {
             return Err(LinalgError::DimensionMismatch {
-                op: "spectral_norm_with(scratch)",
-                expected: self.rows + self.cols,
-                found: scratch.av.len() + scratch.v.len(),
+                op: "spectral_norm_in(scratch)",
+                expected: self.rows + 2 * self.cols,
+                found: av.len() + v.len() + atav.len(),
             });
         }
-        let PowerIterScratch { v, av, atav } = scratch;
         v.iter_mut().for_each(|x| *x = 1.0_f64 / (self.cols as f64).sqrt());
         let mut prev = 0.0_f64;
         let mut null_hits = 0usize;
@@ -570,6 +588,9 @@ mod tests {
         let s2 = m.spectral_norm_with(1e-10, 10_000, &mut scratch).unwrap();
         assert_eq!(s1, direct);
         assert_eq!(s2, direct);
+        // Borrowed dirty slices give the same bits.
+        let (mut v, mut av, mut atav) = ([7.0; 2], [-3.0; 3], [f64::NAN; 2]);
+        assert_eq!(m.spectral_norm_in(1e-10, 10_000, &mut v, &mut av, &mut atav).unwrap(), direct);
         // Shape-mismatched scratch is rejected.
         let mut bad = PowerIterScratch::new(2, 2);
         assert!(m.spectral_norm_with(1e-10, 100, &mut bad).is_err());

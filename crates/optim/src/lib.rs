@@ -13,7 +13,8 @@
 //!   `f(θ̄) − f(θ*) ≤ (α + L)‖C‖/√r + α‖C‖` (Proposition B.1), so
 //!   `r = (1 + L/α)²` gives excess `≤ 2α‖C‖` (Corollary B.2).
 //! - [`fista`] — accelerated projected gradient for smooth objectives
-//!   (used by the lifting step of Algorithm 3).
+//!   (the per-step descent of Algorithms 2 and 3 runs
+//!   [`fista_into_adaptive`]).
 //! - [`frank_wolfe`] — projection-free conditional gradient (used by the
 //!   private Frank–Wolfe batch solver and polytope machinery).
 
@@ -27,6 +28,6 @@ pub mod pgd;
 pub use noisy::{iterations_for_accuracy, noisy_projected_gradient, NoisyPgdConfig};
 pub use objective::{Objective, Quadratic, QuadraticView};
 pub use pgd::{
-    fista, fista_into, fista_into_adaptive, fista_into_restarting, frank_wolfe, projected_gradient,
-    FistaScratch, PgdConfig, StepSize,
+    fista, fista_into, fista_into_adaptive, frank_wolfe, projected_gradient, FistaScratch,
+    PgdConfig, StepSize,
 };

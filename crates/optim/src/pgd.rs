@@ -69,8 +69,8 @@ pub fn projected_gradient<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
 }
 
 /// FISTA (accelerated projected gradient) for an `L_s`-smooth convex
-/// objective: `O(1/k²)` value convergence. Used to solve the lifting
-/// program `min_{θ∈C} ‖Φθ − ϑ‖²` of Algorithm 3, Step 9.
+/// objective: `O(1/k²)` value convergence, with the fixed step
+/// `1/smoothness`.
 pub fn fista<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
     obj: &O,
     set: &C,
@@ -89,7 +89,7 @@ pub fn fista<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
 /// `d` — plus the [`ProjectionHint`] each projection hands the next
 /// ([`ConvexSet::project_into_hinted`]). The hint survives from one run
 /// to the next, so a caller that keeps its scratch across calls (the
-/// per-step lift) starts each run from the last one's hint; by the
+/// per-step descent) starts each run from the last one's hint; by the
 /// hint contract the iterates never depend on it.
 #[derive(Debug, Clone)]
 pub struct FistaScratch {
@@ -131,7 +131,7 @@ pub fn fista_into<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
     scratch: &mut FistaScratch,
     out: &mut [f64],
 ) {
-    fista_loop::<false, O, C>(obj, set, smoothness, iters, 0.0, theta0, scratch, out);
+    fista_loop(obj, set, smoothness, iters, 0.0, theta0, scratch, out);
 }
 
 /// [`fista_into`] with a relative-progress stopping rule: the loop exits
@@ -162,42 +162,13 @@ pub fn fista_into_adaptive<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
     scratch: &mut FistaScratch,
     out: &mut [f64],
 ) -> usize {
-    fista_loop::<false, O, C>(obj, set, smoothness, iters, rel_tol, theta0, scratch, out)
+    fista_loop(obj, set, smoothness, iters, rel_tol, theta0, scratch, out)
 }
 
-/// [`fista_into_adaptive`] with gradient-based adaptive momentum restart
-/// (O'Donoghue & Candès 2015): whenever the new iterate `θ_{k+1}` makes
-/// `⟨y_k − θ_{k+1}, θ_{k+1} − θ_k⟩ > 0` — the momentum point `y_k` has
-/// carried the step uphill — the momentum sequence resets to `t_k = 1`,
-/// so `β = 0` and the next momentum point is `θ_{k+1}` itself.
-///
-/// Restart removes the oscillation plain FISTA shows once it is near a
-/// minimizer, so a relative-progress stop can fire where plain FISTA
-/// keeps moving for the whole budget; it also changes the trajectory,
-/// so the iterates are *not* those of [`fista_into_adaptive`]. Returns
-/// the number of iterations performed; the stop rule, `rel_tol = 0` and
-/// the panics are as in [`fista_into_adaptive`].
+/// The one FISTA loop body behind [`fista_into`] and
+/// [`fista_into_adaptive`], which differ only in when they stop.
 #[allow(clippy::too_many_arguments)]
-pub fn fista_into_restarting<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
-    obj: &O,
-    set: &C,
-    smoothness: f64,
-    iters: usize,
-    rel_tol: f64,
-    theta0: &[f64],
-    scratch: &mut FistaScratch,
-    out: &mut [f64],
-) -> usize {
-    fista_loop::<true, O, C>(obj, set, smoothness, iters, rel_tol, theta0, scratch, out)
-}
-
-/// The one FISTA loop body behind [`fista_into`],
-/// [`fista_into_adaptive`] and [`fista_into_restarting`]. With
-/// `RESTART = false` each iteration is the plain FISTA step, so the
-/// three public forms differ only in when they stop and whether they
-/// restart.
-#[allow(clippy::too_many_arguments)]
-fn fista_loop<const RESTART: bool, O: Objective + ?Sized, C: ConvexSet + ?Sized>(
+fn fista_loop<O: Objective + ?Sized, C: ConvexSet + ?Sized>(
     obj: &O,
     set: &C,
     smoothness: f64,
@@ -222,20 +193,8 @@ fn fista_loop<const RESTART: bool, O: Objective + ?Sized, C: ConvexSet + ?Sized>
         raw.copy_from_slice(momentum);
         vector::axpy(-step, g, raw);
         set.project_into_hinted(raw, next, hint);
-        let mut t_next = 0.5 * (1.0 + (1.0 + 4.0 * t_k * t_k).sqrt());
-        let mut beta = (t_k - 1.0) / t_next;
-        if RESTART {
-            let uphill: f64 = momentum
-                .iter()
-                .zip(next.iter())
-                .zip(out.iter())
-                .map(|((&y, &n), &p)| (y - n) * (n - p))
-                .sum();
-            if uphill > 0.0 {
-                t_next = 1.0;
-                beta = 0.0;
-            }
-        }
+        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t_k * t_k).sqrt());
+        let beta = (t_k - 1.0) / t_next;
         let mut moved_sq = 0.0;
         for ((m, &n), &p) in momentum.iter_mut().zip(next.iter()).zip(out.iter()) {
             let dp = n - p;
@@ -360,7 +319,7 @@ mod tests {
     }
 
     #[test]
-    fn restarting_fista_ignores_the_projection_hint_it_carries() {
+    fn adaptive_fista_ignores_the_projection_hint_it_carries() {
         // An ℓ₁-constrained least squares whose projections threshold:
         // the hint a run leaves behind, or any planted value, must not
         // move a bit of the next run.
@@ -374,8 +333,7 @@ mod tests {
         let start = vec![0.3; d];
         let run = |scratch: &mut FistaScratch| {
             let mut out = vec![f64::NAN; d];
-            let used =
-                fista_into_restarting(&obj, &set, 12.0, 60, 1e-12, &start, scratch, &mut out);
+            let used = fista_into_adaptive(&obj, &set, 12.0, 60, 1e-12, &start, scratch, &mut out);
             (used, out.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
         };
         let fresh = run(&mut FistaScratch::new(d));

@@ -367,7 +367,7 @@ fn mechanism_state_blobs_are_byte_pinned() {
         pins,
         vec![
             ("reg1 d=2", 329, 0xEF72_B8A3),
-            ("reg2 d=4 m=3", 546, 0x7F39_28A4),
+            ("reg2 d=4 m=3", 546, 0xDEC6_2DCC),
             ("exact d=2", 105, 0x6991_3C2E),
             ("trivial d=2", 9, 0x9764_260F),
         ],
